@@ -1,0 +1,6 @@
+"""The repository benchmark: four workloads, end-to-end and per-layer metrics.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed
+<n> --seconds <s> --trace <0|1>`` from the repository root; the metric
+declarations live in ``BENCHMARK.json`` beside it.
+"""
