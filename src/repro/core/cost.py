@@ -85,7 +85,7 @@ class OpCost:
         capacity (the limiting resource)."""
         times = []
         for cls, elements in self.fu_elements.items():
-            capacity = _class_capacity(cfg, cls)
+            capacity = class_capacity(cfg, cls)
             if capacity > 0:
                 times.append(elements / capacity)
         port_elements = self.port_stream_elements
@@ -98,7 +98,7 @@ class OpCost:
         return max(times) if times else 0.0
 
 
-def _class_capacity(cfg: ChipConfig, cls: str) -> float:
+def class_capacity(cfg: ChipConfig, cls: str) -> float:
     """Elements per cycle FU class ``cls`` can absorb (units x lanes)."""
     units = {
         "ntt": cfg.ntt_units,

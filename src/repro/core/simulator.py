@@ -31,13 +31,14 @@ enabled, as ``sim.*`` counters (see docs/TRACING.md).
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig
 from repro.core.cost import (
-    OpCost,
     ciphertext_words,
+    class_capacity,
     op_cost,
     op_latency,
     plaintext_words,
@@ -134,25 +135,66 @@ class SimResult:
         return min(1.0, busy / (total_units * self.cycles))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Resident:
     words: float
     category: str
     dirty: bool
     next_use: float  # op index of next use; inf if none
+    seq: int = 0     # insertion order of the name (dict order)
 
 
 class _RegisterFile:
-    """Belady-MIN managed on-chip storage (the compiler's plan, Sec. 6)."""
+    """Belady-MIN managed on-chip storage (the compiler's plan, Sec. 6).
+
+    The victim is the resident with the furthest next use, then the
+    fewest words, then the earliest insertion.  It comes off a
+    lazy-deletion min-heap keyed on ``(-next_use, words, seq)``: every
+    key change pushes a fresh entry (:meth:`set_next_use`), and a popped
+    entry that no longer matches its resident's current key is skipped.
+    """
 
     def __init__(self, capacity_words: float):
         self.capacity = capacity_words
         self.objects: dict[str, _Resident] = {}
         self.used = 0.0
         self.peak = 0.0
+        self._heap: list[tuple[float, float, int, str]] = []
+        self._seq = 0
 
     def lookup(self, obj: str) -> _Resident | None:
         return self.objects.get(obj)
+
+    def set_next_use(self, obj: str, record: _Resident,
+                     next_use: float) -> None:
+        """Re-key resident ``obj`` (whose record is ``record``)."""
+        if next_use != record.next_use:
+            record.next_use = next_use
+            self._push(obj, record)
+
+    def _push(self, obj: str, record: _Resident) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (-record.next_use, record.words, record.seq, obj))
+        if len(heap) > 2 * len(self.objects) + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the residents' current keys, dropping
+        stale entries so it stays proportional to the residents."""
+        self._heap = [(-r.next_use, r.words, r.seq, o)
+                      for o, r in self.objects.items()]
+        heapq.heapify(self._heap)
+
+    def _victim(self) -> str:
+        heap = self._heap
+        objects = self.objects
+        while True:
+            neg_use, words, seq, obj = heapq.heappop(heap)
+            record = objects.get(obj)
+            if (record is not None and record.seq == seq
+                    and record.next_use == -neg_use
+                    and record.words == words):
+                return obj
 
     def insert(self, obj: str, words: float, category: str, dirty: bool,
                next_use: float) -> list[tuple[str, _Resident]]:
@@ -163,14 +205,20 @@ class _RegisterFile:
             # model as transient residency (no eviction bookkeeping).
             return evicted
         while self.used + words > self.capacity:
-            victim = max(
-                self.objects, key=lambda o: (self.objects[o].next_use,
-                                             -self.objects[o].words)
-            )
+            victim = self._victim()
             record = self.objects.pop(victim)
             self.used -= record.words
             evicted.append((victim, record))
-        self.objects[obj] = _Resident(words, category, dirty, next_use)
+        old = self.objects.get(obj)
+        if old is not None:
+            # Overwriting a resident name keeps its dict position.
+            seq = old.seq
+        else:
+            seq = self._seq
+            self._seq += 1
+        record = _Resident(words, category, dirty, next_use, seq)
+        self.objects[obj] = record
+        self._push(obj, record)
         self.used += words
         self.peak = max(self.peak, self.used)
         return evicted
@@ -182,8 +230,21 @@ class _RegisterFile:
         return record
 
 
-def _next_use_table(program: Program) -> list[dict[str, float]]:
-    """``table[i][obj]`` = first op index > i that touches obj.
+def _touched(op) -> list[str]:
+    """Names op reads or writes, in the order the dead-drop sweep visits
+    them."""
+    touched = list(op.operands)
+    if op.hint_id:
+        touched.append(op.hint_id)
+    if op.plaintext_id:
+        touched.append(op.plaintext_id)
+    touched.append(op.result)
+    return touched
+
+
+def _next_use_table(touched: list[list[str]]) -> list[dict[str, float]]:
+    """``table[i][obj]`` = first op index > i that touches obj, from
+    each op's :func:`_touched` list.
 
     Values are op indices widened to float because ``inf`` is the
     "never used again" sentinel: the register file's Belady policy sorts
@@ -191,25 +252,15 @@ def _next_use_table(program: Program) -> list[dict[str, float]]:
     sweep releases any resident whose entry is ``inf`` at its last use.
     """
     last: dict[str, float] = {}
-    table: list[dict[str, float]] = [dict() for _ in program.ops]
-    for i in range(len(program.ops) - 1, -1, -1):
-        op = program.ops[i]
-        touched = list(op.operands)
-        if op.hint_id:
-            touched.append(op.hint_id)
-        if op.plaintext_id:
-            touched.append(op.plaintext_id)
-        touched.append(op.result)
-        entry = {}
-        for obj in touched:
-            entry[obj] = last.get(obj, _INF)
-        table[i] = entry
-        for obj in touched:
+    table: list[dict[str, float]] = [{} for _ in touched]
+    for i in range(len(touched) - 1, -1, -1):
+        table[i] = {obj: last.get(obj, _INF) for obj in touched[i]}
+        for obj in touched[i]:
             last[obj] = i
     return table
 
 
-def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]:
+def _fetch_plan(op, hint_words: float, n: int) -> list[tuple[str, float, str]]:
     """Memory objects op needs resident before compute: (obj, words,
     category) triples in stream order.  INPUT ops fetch their own result
     (client data arriving from memory); OUTPUT ops fetch nothing."""
@@ -231,8 +282,8 @@ def _fetch_plan(op, cost: OpCost | None, n: int) -> list[tuple[str, float, str]]
         words = (2 * n if op.compact_pt
                  else plaintext_words(n, op.level)) * op.repeat
         plan.append((op.plaintext_id, words, INPUTS))
-    if op.hint_id is not None and cost is not None and cost.hint_words:
-        plan.append((op.hint_id, cost.hint_words, KSH))
+    if op.hint_id is not None and hint_words:
+        plan.append((op.hint_id, hint_words, KSH))
     return plan
 
 
@@ -304,7 +355,8 @@ def simulate(program: Program, cfg: ChipConfig,
     n_ops = len(ops)
     depth = cfg.prefetch_depth
     rf = _RegisterFile(cfg.register_file_words)
-    next_use = _next_use_table(program)
+    touched = [_touched(op) for op in ops]
+    next_use = _next_use_table(touched)
     # Where each value is materialized on chip; INPUT results live in
     # memory from the start (client data), so they are prefetchable.
     producer = {op.result: i for i, op in enumerate(ops)
@@ -316,16 +368,38 @@ def simulate(program: Program, cfg: ChipConfig,
     if checkpoint_every:
         traffic["ckpt"] = 0.0
     compute_ops = 0
-    totals = OpCost()
+    # Run totals of the OpCost fields SimResult reports, summed per op in
+    # program order (a count x value product would round differently).
+    scalar_mults = scalar_adds = kshgen_words = 0.0
+    network_words = port_stream_elements = 0.0
     mem_clock = 0.0
     comp_clock = 0.0
     words_per_cycle = cfg.hbm_words_per_cycle
 
-    # Per-op costs and fetch plans, precomputed so the prefetcher can
-    # stream a future op's operands before the compute head reaches it.
-    costs = [op_cost(cfg, op, n) if op.kind not in (INPUT, OUTPUT) else None
-             for op in ops]
-    plans = [_fetch_plan(op, costs[i], n) for i, op in enumerate(ops)]
+    # Per-signature costs: op_cost reads only an op's kind, level, digits
+    # and repeat, and cfg and the degree are fixed for this run, so ops
+    # sharing that signature share (cost, compute cycles, per-class FU
+    # cycles, pipeline-fill latency).
+    by_signature: dict[tuple, tuple] = {}
+    costs: list[tuple | None] = [None] * n_ops
+    for i, op in enumerate(ops):
+        if op.kind in (INPUT, OUTPUT):
+            continue
+        key = (op.kind, op.level, op.digits, op.repeat)
+        entry = by_signature.get(key)
+        if entry is None:
+            cost = op_cost(cfg, op, n)
+            fu_cycles = tuple(
+                (cls, elements / max(1.0, class_capacity(cfg, cls)))
+                for cls, elements in cost.fu_elements.items())
+            entry = by_signature[key] = (
+                cost, cost.compute_cycles(cfg), fu_cycles,
+                op_latency(cfg, op, n))
+        costs[i] = entry
+    # Fetch plans, precomputed so the prefetcher can stream a future op's
+    # operands before the compute head reaches it.
+    plans = [_fetch_plan(op, costs[i][0].hint_words if costs[i] else 0.0, n)
+             for i, op in enumerate(ops)]
     issued = [False] * n_ops       # op's fetch plan already streamed
     ready_at = [0.0] * n_ops       # mem clock when the op's stream was done
     prefetched: set[str] = set()   # residents brought in ahead of their op
@@ -346,7 +420,7 @@ def simulate(program: Program, cfg: ChipConfig,
         from memory (0 when already resident, e.g. reuse or prefetch)."""
         record = rf.lookup(obj)
         if record is not None:
-            record.next_use = uses_at
+            rf.set_next_use(obj, record, uses_at)
             if obj in prefetched:
                 prefetched.discard(obj)
                 hits[0] += 1
@@ -380,24 +454,18 @@ def simulate(program: Program, cfg: ChipConfig,
         if record is not None:
             # Already resident (reuse, or an earlier window op fetched
             # it); keep the nearest use so Belady never under-protects it.
-            record.next_use = min(record.next_use, target)
+            rf.set_next_use(obj, record, min(record.next_use, target))
             return 0.0
         if rf.used + words > rf.capacity:
             return 0.0
         prefetched.add(obj)
         return fetch(obj, words, category, target)
 
-    def dead_sweep(op, uses: dict[str, float]) -> None:
-        """Free-on-last-use: release residents this op touched whose next
+    def dead_sweep(i: int) -> None:
+        """Free-on-last-use: release residents op i touched whose next
         use is the ``inf`` sentinel, so dead values stop occupying
         capacity and forcing Belady evictions."""
-        touched = list(op.operands)
-        if op.hint_id:
-            touched.append(op.hint_id)
-        if op.plaintext_id:
-            touched.append(op.plaintext_id)
-        touched.append(op.result)
-        for obj in touched:
+        for obj in touched[i]:
             record = rf.lookup(obj)
             if record is not None and record.next_use == _INF:
                 rf.drop(obj)
@@ -416,7 +484,7 @@ def simulate(program: Program, cfg: ChipConfig,
     def record(op, index: int, crit_before: float, mem_before: float,
                compute_start: float, compute_cycles: float,
                stall: float, mem_words: float,
-               fu_cycles: dict[str, float] | None = None) -> None:
+               fu_cycles: tuple[tuple[str, float], ...] = ()) -> None:
         """Emit one OpEvent; ``cycles`` is the critical-path advance, so
         the events telescope exactly to the final cycle count."""
         tr.emit_op(obs.OpEvent(
@@ -426,7 +494,7 @@ def simulate(program: Program, cfg: ChipConfig,
             compute_start=compute_start, compute_cycles=compute_cycles,
             mem_start=mem_before, mem_cycles=mem_clock - mem_before,
             stall_cycles=stall, mem_words=mem_words, evictions=evicted[0],
-            fu_cycles=dict(fu_cycles) if fu_cycles else {},
+            fu_cycles=dict(fu_cycles),
             chip=chip,
         ))
         tr.count("sim.ops")
@@ -459,7 +527,7 @@ def simulate(program: Program, cfg: ChipConfig,
                 # stays valid but clean (a later eviction needs no second
                 # writeback), and it is released outright on its last use.
                 rec.dirty = False
-                rec.next_use = uses.get(operand, _INF)
+                rf.set_next_use(operand, rec, uses.get(operand, _INF))
                 if rec.next_use == _INF:
                     rf.drop(operand)
                     dead_drops[0] += 1
@@ -486,7 +554,7 @@ def simulate(program: Program, cfg: ChipConfig,
 
         if op.kind == INPUT:
             mem_clock += own_cycles
-            dead_sweep(op, uses)
+            dead_sweep(i)
             total_evictions += evicted[0]
             total_dead_drops += dead_drops[0]
             total_hits += hits[0]
@@ -496,8 +564,12 @@ def simulate(program: Program, cfg: ChipConfig,
                        0.0, mem_words)
             continue
 
-        cost = costs[i]
-        totals.merge(cost)
+        cost, cycles, fu_cycles, latency = costs[i]
+        scalar_mults += cost.scalar_mults
+        scalar_adds += cost.scalar_adds
+        kshgen_words += cost.kshgen_elements
+        network_words += cost.network_words
+        port_stream_elements += cost.port_stream_elements
 
         # Result allocation (produced on chip; traffic only if evicted and
         # reloaded later).
@@ -528,13 +600,12 @@ def simulate(program: Program, cfg: ChipConfig,
             op_ready = mem_clock
         else:
             op_ready = ready_at[i]
-        cycles = cost.compute_cycles(cfg)
         # Pipeline-fill latency is exposed only when this op consumes the
         # previous op's result (a true dependence chain); independent ops
         # overlap in the static schedule.
         chained = prev_result is not None and prev_result in op.operands
         if chained:
-            cycles += op_latency(cfg, op, n)
+            cycles += latency
         prev_result = op.result
         compute_start = max(comp_clock, op_ready)
         stall = compute_start - comp_clock
@@ -545,15 +616,12 @@ def simulate(program: Program, cfg: ChipConfig,
         total_stall += stall
         total_window_stall += window_stall
         comp_clock = compute_start + cycles
-        op_fu_cycles: dict[str, float] = {}
-        for cls, elements in cost.fu_elements.items():
-            capacity = max(1.0, _unit_capacity(cfg, cls))
-            op_fu_cycles[cls] = elements / capacity
-            fu_busy[cls] = fu_busy.get(cls, 0.0) + elements / capacity
+        for cls, busy in fu_cycles:
+            fu_busy[cls] = fu_busy.get(cls, 0.0) + busy
 
         # Free-on-last-use before the prefetcher claims space: dead
         # residents this op just consumed never become Belady victims.
-        dead_sweep(op, uses)
+        dead_sweep(i)
 
         # Lookahead data orchestration: while this op computes, stream
         # operands for the next prefetch_depth - 1 ops (skipping values
@@ -597,7 +665,7 @@ def simulate(program: Program, cfg: ChipConfig,
             if chained and cfg.chaining:
                 tr.count("sim.chain_hits")
             record(op, i, crit_before, mem_before, compute_start, cycles,
-                   stall, mem_words, op_fu_cycles)
+                   stall, mem_words, fu_cycles)
 
     if tr is not None:
         if total_stall:
@@ -663,10 +731,10 @@ def simulate(program: Program, cfg: ChipConfig,
         mem_cycles=mem_clock,
         fu_busy_cycles=fu_busy,
         traffic_words=traffic,
-        scalar_mults=totals.scalar_mults,
-        scalar_adds=totals.scalar_adds,
-        kshgen_words=totals.kshgen_elements,
-        network_words=totals.network_words,
+        scalar_mults=scalar_mults,
+        scalar_adds=scalar_adds,
+        kshgen_words=kshgen_words,
+        network_words=network_words,
         clock_hz=cfg.clock_hz,
         bytes_per_word=cfg.bytes_per_word,
         fu_units={
@@ -675,7 +743,7 @@ def simulate(program: Program, cfg: ChipConfig,
             "crb": 1 if cfg.crb else 0,
             "kshgen": 1 if cfg.kshgen else 0,
         },
-        port_stream_elements=totals.port_stream_elements,
+        port_stream_elements=port_stream_elements,
         rf_capacity_words=cfg.register_file_words,
         peak_resident_words=rf.peak,
         rf_evictions=total_evictions,
@@ -689,9 +757,3 @@ def simulate(program: Program, cfg: ChipConfig,
         overlap_hidden_cycles=overlap_hidden,
         link_port_cycles=link_port_cycles,
     )
-
-
-def _unit_capacity(cfg: ChipConfig, cls: str) -> float:
-    from repro.core.cost import _class_capacity
-
-    return _class_capacity(cfg, cls)

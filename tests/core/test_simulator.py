@@ -3,9 +3,11 @@
 import pytest
 
 from repro.compiler.dsl import FheBuilder
+from repro.core import simulator
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
-from repro.ir import HomOp, Program
+from repro.ir import INPUT, OUTPUT, HomOp, Program
+from repro.workloads import benchmark
 
 CFG = ChipConfig()
 
@@ -45,6 +47,24 @@ def test_time_is_max_of_compute_and_memory():
     assert res.cycles >= res.mem_cycles
     assert res.cycles >= res.compute_cycles - 1e-9
     assert res.cycles == max(res.compute_cycles, res.mem_cycles)
+
+
+def test_op_cost_runs_once_per_signature(monkeypatch):
+    """op_cost reads only (kind, level, digits, repeat), so a run prices
+    each distinct signature once, however many ops share it."""
+    calls = []
+    real_op_cost = simulator.op_cost
+
+    def counting_op_cost(cfg, op, degree):
+        calls.append(op)
+        return real_op_cost(cfg, op, degree)
+
+    monkeypatch.setattr(simulator, "op_cost", counting_op_cost)
+    program = benchmark("resnet20")
+    simulate(program, CFG)
+    signatures = {(op.kind, op.level, op.digits, op.repeat)
+                  for op in program.ops if op.kind not in (INPUT, OUTPUT)}
+    assert len(calls) == len(signatures)
 
 
 def test_memory_bound_when_hints_never_reused():
