@@ -141,7 +141,7 @@ class _Resident:
     category: str
     dirty: bool
     next_use: float  # op index of next use; inf if none
-    seq: int = 0     # insertion order of the name (dict order)
+    seq: int         # insertion order of the name (dict order)
 
 
 class _RegisterFile:
