@@ -2,9 +2,9 @@
 
 CraterLake's programming model is compile-once/run-many: FHE programs
 are static dataflow graphs, so a lowered schedule is a pure function of
-(program IR, :class:`~repro.core.config.ChipConfig`, pass flags).  The
-lowering pipeline - hoisting, then the ordering passes, each with
-simulator-backed profitability gates - is therefore *repeated-inference
+(program IR, :class:`~repro.core.config.ChipConfig`, pod descriptor).
+The lowering pipeline - hoisting, then pressure scheduling, each with a
+simulator-backed profitability gate - is therefore *repeated-inference
 precompute*: a serving loop that recompiled the same logreg graph per
 request would spend seconds per query on work whose result never
 changes.  This module makes that work a one-time cost:
@@ -20,8 +20,8 @@ changes.  This module makes that work a one-time cost:
   *canonicalized* program (SSA names, hint ids and plaintext ids
   replaced by first-appearance indices, so renaming values cannot
   cause a miss), the config's :meth:`~repro.core.config.ChipConfig.
-  cache_key` (every field but the display name), and the normalized
-  pass flags.  Anything that can change the lowered schedule changes
+  cache_key` (every field but the display name), and the pod
+  descriptor.  Anything that can change the lowered schedule changes
   the hash; nothing else does.
 * **Two-tier cache** - :class:`CompileCache` holds an LRU memory tier
   (compiled ``Program`` objects) over an optional size-bounded
@@ -31,16 +31,14 @@ changes.  This module makes that work a one-time cost:
   a corrupt, truncated, or version-skewed artifact counts
   ``compiler.cache.invalid``, is deleted, and reads as a miss - never
   an exception, never a wrong schedule.
-* **The entry point** - :func:`compile_program` runs the full pipeline
-  (hoist -> optional reuse ordering -> pressure scheduling) through the
-  cache, and ``simulate(..., cache=...)`` routes through it.  Cache
+* **The entry point** - :func:`compile_program` runs the fixed
+  pipeline (hoist -> pressure scheduling) through the cache.  Cache
   observability flows through `repro.obs` as ``compiler.cache.{hit,
   miss,store,evict,invalid}`` counters and ``compiler.compile`` /
   ``compiler.cache.*`` spans (docs/TRACING.md).
 
-Default off: plain ``simulate(program, cfg)`` never compiles or caches
-(tests and the paper-table benchmarks are unchanged).  Opt in with an
-explicit ``cache=`` argument or ``REPRO_COMPILE_CACHE=1``.
+``simulate(program, cfg)`` never compiles or caches: it prices the op
+stream it is given, so callers lower with :func:`compile_program` first.
 """
 
 from __future__ import annotations
@@ -66,46 +64,9 @@ from repro.reliability.errors import ArtifactError
 #: bump (old artifacts must not deserialize into wrong programs).
 #: Loaders reject any other version - a stale artifact is a miss, not a
 #: best-effort parse.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
-
-#: The lowering pipeline's knobs, in their default configuration.  The
-#: fingerprint covers the *normalized* flag dict, so unknown keys are
-#: rejected rather than silently ignored (a typo must not alias two
-#: different pipelines to one hash).
-DEFAULT_FLAGS = {
-    "hoist": True,      # repro.compiler.hoisting.hoist_rotations
-    "reuse": False,     # repro.compiler.ordering.order_for_reuse
-    "pressure": True,   # repro.compiler.ordering.order_for_pressure
-    "window": 32,       # pressure scheduler's pull-forward window
-    "min_group": 2,     # smallest rotation group hoisting considers
-    "pod": "",          # PodConfig.descriptor() when compiling a shard
-    #                     ("" = single chip).  A shard of resnet20 cut
-    #                     for a 4-chip pod is a *different program* from
-    #                     the whole benchmark; the descriptor keeps
-    #                     their artifacts from aliasing even when a
-    #                     partitioner change produces identical IR.
-}
-
-
-def normalize_flags(flags: dict | None = None) -> dict:
-    """Fill defaults and reject unknown pass flags."""
-    merged = dict(DEFAULT_FLAGS)
-    if flags:
-        unknown = set(flags) - set(DEFAULT_FLAGS)
-        if unknown:
-            raise ArtifactError("unknown pass flags",
-                                flags=sorted(unknown))
-        merged.update(flags)
-    merged["hoist"] = bool(merged["hoist"])
-    merged["reuse"] = bool(merged["reuse"])
-    merged["pressure"] = bool(merged["pressure"])
-    merged["window"] = int(merged["window"])
-    merged["min_group"] = int(merged["min_group"])
-    merged["pod"] = str(merged["pod"])
-    return merged
-
 
 # -- canonical JSON + fingerprinting ----------------------------------------
 
@@ -187,26 +148,32 @@ def program_token(program: Program) -> str:
 
 
 def fingerprint(program: Program, cfg: ChipConfig | None = None,
-                flags: dict | None = None) -> str:
-    """Content address of a (program, config, pass flags) compilation.
+                pod: str = "") -> str:
+    """Content address of a (program, config, pod) compilation.
 
     The sha256 of the canonical JSON of ``{"format", "program_sha256",
-    "config", "flags"}``, where ``program_sha256`` is
+    "config", "pod"}``, where ``program_sha256`` is
     :func:`program_token` (the hash of the canonicalized program) -
     a two-stage construction so the per-op walk can be memoized.
     Invariant under SSA renames, hint/plaintext-id renames, dict
     ordering, and the display names ``Program.name`` /
     ``ChipConfig.name``; sensitive to every op field, the op order, the
-    program's ring parameters, every other config field, the pass-flag
-    set, and :data:`FORMAT_VERSION` itself (a format bump invalidates
-    every existing artifact at once).
+    program's ring parameters, every other config field, the pod
+    descriptor, and :data:`FORMAT_VERSION` itself (a format bump
+    invalidates every existing artifact at once).
+
+    ``pod`` is ``PodConfig.descriptor()`` when the program is one shard
+    of a pod cut (``""`` = single chip).  A shard of resnet20 cut for a
+    4-chip pod is a *different program* from the whole benchmark; the
+    descriptor keeps their artifacts from aliasing even when a
+    partitioner change produces identical IR.
     """
     cfg = cfg or ChipConfig()
     doc = {
         "format": FORMAT_VERSION,
         "program_sha256": program_token(program),
         "config": cfg.cache_key(),
-        "flags": normalize_flags(flags),
+        "pod": pod,
     }
     return hashlib.sha256(canonical_json(doc)).hexdigest()
 
@@ -338,7 +305,7 @@ def payload_seal(arrays: dict[str, np.ndarray]) -> str:
 
 
 def artifact_manifest(program: Program, fp: str, cfg: ChipConfig,
-                      flags: dict, arrays: dict[str, np.ndarray]) -> dict:
+                      pod: str, arrays: dict[str, np.ndarray]) -> dict:
     """The JSON sidecar for one serialized lowered schedule.  Pure
     function of its inputs (no timestamps, sorted keys on write), so
     re-serializing an identical compilation is byte-identical."""
@@ -356,14 +323,14 @@ def artifact_manifest(program: Program, fp: str, cfg: ChipConfig,
             "op_count": len(program.ops),
         },
         "config": asdict(cfg),
-        "flags": normalize_flags(flags),
+        "pod": pod,
         "payload_sha256": payload_seal(arrays),
         "arrays": sorted(arrays),
     }
 
 
 def save_artifact(base: Path, program: Program, fp: str,
-                  cfg: ChipConfig, flags: dict | None = None) -> Path:
+                  cfg: ChipConfig, pod: str = "") -> Path:
     """Write ``<base>.json`` + ``<base>.npz``; returns the manifest path.
 
     The payload lands first and the manifest last, so a crash mid-write
@@ -373,7 +340,7 @@ def save_artifact(base: Path, program: Program, fp: str,
     """
     base = Path(base)
     arrays = program_to_arrays(program)
-    manifest = artifact_manifest(program, fp, cfg, flags or {}, arrays)
+    manifest = artifact_manifest(program, fp, cfg, pod, arrays)
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(base.with_suffix(".npz"), "wb") as f:
         np.savez(f, **arrays)
@@ -516,11 +483,10 @@ class CompileCache:
         return None
 
     def put(self, fp: str, program: Program,
-            cfg: ChipConfig | None = None,
-            flags: dict | None = None) -> None:
+            cfg: ChipConfig | None = None, pod: str = "") -> None:
         """Store a lowered schedule under its fingerprint (both tiers).
 
-        ``cfg``/``flags`` are recorded in the on-disk manifest for
+        ``cfg``/``pod`` are recorded in the on-disk manifest for
         humans and AOT tooling; they do not affect the key (the
         fingerprint already binds them).  Disk failures (read-only or
         full filesystem) are swallowed: caching is an optimization and
@@ -535,7 +501,7 @@ class CompileCache:
             try:
                 with obs.span("compiler.cache.store", "compiler"):
                     save_artifact(self._base(fp), snapshot, fp,
-                                  cfg or ChipConfig(), flags or {})
+                                  cfg or ChipConfig(), pod)
                 self._trim_disk(keep=fp)
             except OSError:
                 obs.count("compiler.cache.store_error")
@@ -588,7 +554,7 @@ _DEFAULT_CACHE: CompileCache | None = None
 
 def default_cache() -> CompileCache:
     """The process-wide cache over :func:`default_cache_dir` (created on
-    first use; ``simulate(..., cache=True)`` resolves to it)."""
+    first use; ``compile_program(..., cache=True)`` resolves to it)."""
     global _DEFAULT_CACHE
     if _DEFAULT_CACHE is None:
         _DEFAULT_CACHE = CompileCache(default_cache_dir())
@@ -614,20 +580,15 @@ def resolve_cache(cache) -> CompileCache | None:
 # -- the compile entry point -------------------------------------------------
 
 def compile_program(program: Program, cfg: ChipConfig | None = None, *,
-                    hoist: bool = True, reuse: bool = False,
-                    pressure: bool = True, window: int = 32,
-                    min_group: int = 2, pod: str = "",
-                    cache=None) -> Program:
-    """Lower ``program`` for ``cfg`` through the full pass pipeline,
+                    pod: str = "", cache=None) -> Program:
+    """Lower ``program`` for ``cfg`` through the fixed pass pipeline,
     optionally through a compile cache.
 
-    The pipeline is hoisting (``hoist``), hint-reuse ordering
-    (``reuse``, off by default - pressure scheduling subsumes it on the
-    tracked workloads), then pressure scheduling (``pressure``, with
-    its ``window``); each pass keeps its own simulator/profitability
-    gate, so the result is never worse than the input program.  The
-    pipeline is deterministic, which is what makes a cached artifact a
-    *bit-identical* substitute for recompiling.
+    The pipeline is hoisting, then pressure scheduling; each pass keeps
+    its own simulator/profitability gate, so the result is never worse
+    than the input program.  The pipeline is deterministic, which is
+    what makes a cached artifact a *bit-identical* substitute for
+    recompiling.
 
     ``pod`` namespaces the artifact with a pod-partition descriptor
     (``PodConfig.descriptor()``, e.g. ``"4xmodel"``) when the program
@@ -639,15 +600,15 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
     fingerprint); on a miss the freshly lowered program is stored under
     its fingerprint before returning.
     """
+    from repro.compiler.hoisting import hoist_rotations
+    from repro.compiler.ordering import order_for_pressure
+
     cfg = cfg or ChipConfig()
-    flags = normalize_flags({"hoist": hoist, "reuse": reuse,
-                             "pressure": pressure, "window": window,
-                             "min_group": min_group, "pod": pod})
     store = resolve_cache(cache)
     fp = None
     if store is not None:
         with obs.span("compiler.cache.fingerprint", "compiler"):
-            fp = fingerprint(program, cfg, flags)
+            fp = fingerprint(program, cfg, pod)
         hit = store.get(fp)
         if hit is not None:
             out = Program(name=program.name, degree=program.degree,
@@ -656,16 +617,7 @@ def compile_program(program: Program, cfg: ChipConfig | None = None, *,
             out.ops = list(hit.ops)
             return out
     with obs.span("compiler.compile", "compiler"):
-        lowered = program
-        if flags["hoist"]:
-            from repro.compiler.hoisting import hoist_rotations
-            lowered = hoist_rotations(lowered, cfg, flags["min_group"])
-        if flags["reuse"]:
-            from repro.compiler.ordering import order_for_reuse
-            lowered = order_for_reuse(lowered)
-        if flags["pressure"]:
-            from repro.compiler.ordering import order_for_pressure
-            lowered = order_for_pressure(lowered, cfg, flags["window"])
+        lowered = order_for_pressure(hoist_rotations(program, cfg), cfg)
     if store is not None:
-        store.put(fp, lowered, cfg, flags)
+        store.put(fp, lowered, cfg, pod)
     return lowered

@@ -2,28 +2,23 @@
 
 The paper orders homomorphic operations with a tiling analysis (Timeloop-
 style) so that large operands - keyswitch hints above all - are reused
-while resident, and so the live set fits the register file.  Two
-list-scheduling equivalents live here:
+while resident, and so the live set fits the register file.  The
+list-scheduling equivalent here is :func:`order_for_pressure`: among
+ready ops, prefer the one whose scheduling *shrinks* the live set the
+most (Sethi-Ullman-style weight in words over operand ciphertexts /
+raised digits / hints / plaintexts), with hint-reuse chaining (the op
+using the most recently touched hint or plaintext) only as a tie-break,
+and a per-workload simulator gate that keeps the reordering only when it
+does not pessimize cycles or evictions.
 
-* :func:`order_for_reuse` - among dependency-ready ops, prefer one using
-  the hint (or plaintext) that was touched most recently; otherwise fall
-  back to program order.  Runs in O(ops) with per-hint ready queues.
-* :func:`order_for_pressure` - a register-pressure-aware refinement:
-  among ready ops, prefer the one whose scheduling *shrinks* the live
-  set the most (Sethi-Ullman-style weight in words over operand
-  ciphertexts / raised digits / hints / plaintexts), with hint-reuse
-  chaining only as a tie-break, and a per-workload simulator gate that
-  keeps the reordering only when it does not pessimize cycles or
-  evictions.
-
-Dependences are operand-producer edges, so both reorderings are always
+Dependences are operand-producer edges, so the reordering is always
 semantics-preserving.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import defaultdict
 
 from repro.core.config import ChipConfig
 from repro.core.cost import (
@@ -32,104 +27,23 @@ from repro.core.cost import (
     plaintext_words,
     raised_words,
 )
-from repro.ir import HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, HomOp, Program
+from repro.ir import HOIST_MODUP, INPUT, OUTPUT, HomOp, Program
 from repro.obs import collector as obs
 from repro.reliability.errors import ScheduleError
 
 
 def _reuse_key(op: HomOp) -> str | None:
-    # A hoist_modup keys on its result (the raised digits), so the
-    # first rotation of its group - also registered under that name
-    # below - is picked immediately after it; the group's rotations
-    # then chain on their hints as usual.  Keeping hint keying (not
-    # raised-object keying) for rotate_hoisted matters: clustering a
-    # whole group back to back would make every member's result live
-    # at once and thrash the register file, while hint-chained order
-    # interleaves each rotation with its consumers and the raised
-    # digits stay resident by Belady (their next use is always near).
+    """The hint-reuse chain key: an op chains onto the last scheduled op
+    sharing its key.  A hoist_modup keys on its result (the raised
+    digits), while its group's rotate_hoisted ops keep hint keying:
+    clustering a whole group back to back would make every member's
+    result live at once and thrash the register file, while
+    hint-chained order interleaves each rotation with its consumers and
+    the raised digits stay resident by Belady (their next use is always
+    near)."""
     if op.kind == HOIST_MODUP:
         return op.result
     return op.hint_id or op.plaintext_id
-
-
-def order_for_reuse(program: Program) -> Program:
-    """Return a new Program with a reuse-friendlier op order."""
-    with obs.span("compiler.order_for_reuse", "compiler"):
-        return _order_for_reuse(program)
-
-
-def _order_for_reuse(program: Program) -> Program:
-    ops = program.ops
-    producers: dict[str, int] = {op.result: i for i, op in enumerate(ops)}
-
-    consumers: dict[int, list[int]] = defaultdict(list)
-    indegree = [0] * len(ops)
-    for i, op in enumerate(ops):
-        for operand in op.operands:
-            j = producers.get(operand)
-            if j is not None and j != i:
-                consumers[j].append(i)
-                indegree[i] += 1
-
-    reuse_key = _reuse_key
-
-    ready_heap: list[int] = []           # program order fallback
-    ready_by_key: dict[str, deque[int]] = defaultdict(deque)
-    done = [False] * len(ops)
-
-    def push(i: int) -> None:
-        heapq.heappush(ready_heap, i)
-        key = reuse_key(ops[i])
-        if key is not None:
-            ready_by_key[key].append(i)
-        # Secondary registration: a hoisted rotation is also reachable
-        # through its raised-digit operand, so a freshly scheduled
-        # hoist_modup (whose key is that object) hands off to its group.
-        if ops[i].kind == ROTATE_HOISTED:
-            ready_by_key[ops[i].operands[0]].append(i)
-
-    for i, d in enumerate(indegree):
-        if d == 0:
-            push(i)
-
-    scheduled: list[HomOp] = []
-    last_key: str | None = None
-    while len(scheduled) < len(ops):
-        i = None
-        # Prefer a ready op reusing the most recent hint/plaintext.
-        if last_key is not None:
-            queue = ready_by_key.get(last_key)
-            while queue:
-                candidate = queue.popleft()
-                if not done[candidate]:
-                    i = candidate
-                    # A schedule decision: this op was moved up so a
-                    # resident hint/plaintext gets reused.
-                    obs.count("compiler.reorder.reuse_picks")
-                    break
-        if i is None:
-            while ready_heap:
-                candidate = heapq.heappop(ready_heap)
-                if not done[candidate]:
-                    i = candidate
-                    obs.count("compiler.reorder.program_order_picks")
-                    break
-        if i is None:
-            raise ScheduleError("dependency cycle in program (builder bug)")
-        op = ops[i]
-        done[i] = True
-        scheduled.append(op)
-        last_key = reuse_key(op) or last_key
-        for j in consumers[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                push(j)
-
-    out = Program(name=program.name, degree=program.degree,
-                  max_level=program.max_level,
-                  description=program.description)
-    out.ops = scheduled
-    return out
 
 
 def order_for_pressure(program: Program,
@@ -145,7 +59,7 @@ def order_for_pressure(program: Program,
     reader of).  Last-use consumers therefore run as soon as their
     inputs exist and values die young, which is what shrinks the Belady
     register file's victim count; ties prefer an op reusing the
-    last-touched hint (the :func:`order_for_reuse` chain rule), then the
+    last-touched hint (the hint-reuse chain rule), then the
     oldest op.  Ops that merely *grow* the live set are never pulled
     forward, and the bounded window keeps the schedule near dataflow
     order: these op streams run within a hair of register-file capacity,
@@ -168,11 +82,8 @@ def order_for_pressure(program: Program,
     with obs.span("compiler.order_for_pressure", "compiler"):
         candidate = _order_for_pressure(program, cfg, window)
         with obs.paused():
-            # cache=False: the gate must measure *these* schedules
-            # verbatim - routing through the compile cache here would
-            # recurse (compile -> gate -> compile) and defeat the gate.
-            base = simulate(program, cfg, cache=False)
-            cand = simulate(candidate, cfg, cache=False)
+            base = simulate(program, cfg)
+            cand = simulate(candidate, cfg)
     stores = "interm_store"
     if (cand.cycles <= base.cycles
             and cand.traffic_words[stores] <= base.traffic_words[stores]):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.chaining import FU_INPUT_STREAMS
 from repro.core.config import CROSSBAR_TRAFFIC_FACTOR, ChipConfig
 from repro.ir import (
     ADD,
@@ -40,8 +41,10 @@ from repro.reliability.errors import ScheduleError
 
 CHAINING_PORT_REDUCTION = 3.5  # Sec. 5.4: measured RF traffic reduction
 
-# Streams (ports occupied while the op's vector flows) per FU class.
-_STREAMS = {"ntt": 2, "aut": 2, "mul": 3, "add": 3, "crb": 2, "kshgen": 1}
+# Streams (ports occupied while the op's vector flows) per FU class:
+# the FU's unchained register-file reads plus its one write.
+_STREAMS = {cls: FU_INPUT_STREAMS[cls] + 1
+            for cls in ("ntt", "aut", "mul", "add", "crb", "kshgen")}
 
 
 @dataclass

@@ -32,7 +32,6 @@ enabled, as ``sim.*`` counters (see docs/TRACING.md).
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 
 from repro.core.config import ChipConfig
@@ -96,10 +95,10 @@ class SimResult:
     tag_cycles: dict[str, float] = field(default_factory=dict)
     # Overlap accounting (the pod layer's double-buffered transfers).
     # ``program_cycles`` is the critical path of the op stream alone,
-    # before any extra/overlap stream charging; ``serialized_cycles`` is
-    # what ``cycles`` would have been had every overlappable stream been
-    # charged serialized (the PR 8 model) - for runs without overlap
-    # streams the two fields equal ``cycles``.
+    # before any stream charging; ``serialized_cycles`` is what
+    # ``cycles`` would have been had every stream been charged
+    # serialized - for runs without overlapped streams the two fields
+    # equal ``cycles``.
     program_cycles: float = 0.0
     serialized_cycles: float = 0.0
     overlap_hidden_cycles: float = 0.0  # serialized - overlapped cost
@@ -204,18 +203,22 @@ class _RegisterFile:
             # Operand larger than the register file: it streams through;
             # model as transient residency (no eviction bookkeeping).
             return evicted
+        old = self.objects.get(obj)
+        if old is not None:
+            # Overwriting a resident name releases its old words before
+            # any eviction and keeps its dict position and seq.  The old
+            # record's heap entries go stale, so it is never a victim.
+            seq = old.seq
+            self.used -= old.words
+            old.seq = -1
+        else:
+            seq = self._seq
+            self._seq += 1
         while self.used + words > self.capacity:
             victim = self._victim()
             record = self.objects.pop(victim)
             self.used -= record.words
             evicted.append((victim, record))
-        old = self.objects.get(obj)
-        if old is not None:
-            # Overwriting a resident name keeps its dict position.
-            seq = old.seq
-        else:
-            seq = self._seq
-            self._seq += 1
         record = _Resident(words, category, dirty, next_use, seq)
         self.objects[obj] = record
         self._push(obj, record)
@@ -288,35 +291,40 @@ def _fetch_plan(op, hint_words: float, n: int) -> list[tuple[str, float, str]]:
 
 
 def simulate(program: Program, cfg: ChipConfig,
-             checkpoint_every: int = 0, cache=None,
-             extra_streams: dict[str, tuple[float, float]] | None = None,
-             chip: int | None = None,
-             overlap_streams: dict[str, tuple[float, float]] | None = None,
-             ) -> SimResult:
+             checkpoint_every: int = 0, *,
+             streams: dict[str, tuple[float, float, bool]] | None = None,
+             chip: int | None = None) -> SimResult:
     """Run ``program`` on machine ``cfg``; see module docstring.
 
-    ``extra_streams`` charges additional off-chip transfers this chip
-    owes beyond the program's own HBM traffic - the pod layer
-    (`repro.pod`) uses it for interconnect sends/receives.  Each entry
-    maps a stream name to ``(words, words_per_cycle)``; the words land
-    under that name in ``traffic_words`` and advance the memory clock at
-    the stream's own rate (a pod link is slower than HBM), so link-bound
-    shards show up as memory-bound in the same units as Fig. 10a.
+    The op stream is priced exactly as given: lowering (hoisting,
+    scheduling, the compile cache) is the compiler's job
+    (`repro.compiler.compile_program`), done before this call.
 
-    ``overlap_streams`` has the same entry shape but models
-    *double-buffered* transfers: a dedicated port (the link direction)
-    carries the stream concurrently with compute, and only the stream's
-    memory-system crossing claims memory cycles - at HBM rate when the
-    link is the slower side (the crossing hides in otherwise-idle
-    bandwidth the way ``prefetch_depth`` claims free capacity), at the
-    stream's own rate when the stream itself is the bottleneck
-    (bandwidth-bound fallback, which degenerates to serialized
-    charging).  The final cycle count becomes
-    ``max(compute, memory, busiest port)`` - the ``max(compute, comm)``
-    shape of a pipelined stage - and is never worse than the serialized
-    model (reported in ``serialized_cycles``; the gap lands in
-    ``overlap_hidden_cycles``) and never better than
-    ``max(program_cycles, busiest port)``.
+    ``streams`` charges off-chip transfers this chip owes beyond the
+    program's own HBM traffic - the pod layer (`repro.pod`) uses it for
+    interconnect sends/receives.  Each entry maps a stream name to
+    ``(words, words_per_cycle, overlap)``; the words land under that
+    name in ``traffic_words``, after the program's own traffic, in
+    entry order.
+
+    * ``overlap=False`` serializes the stream onto the memory clock at
+      its own rate (a pod link is slower than HBM), so link-bound
+      shards show up as memory-bound in the same units as Fig. 10a.
+    * ``overlap=True`` models a *double-buffered* transfer: a dedicated
+      port (the link direction) carries the stream concurrently with
+      compute, and only the stream's memory-system crossing claims
+      memory cycles - at HBM rate when the link is the slower side (the
+      crossing hides in otherwise-idle bandwidth the way
+      ``prefetch_depth`` claims free capacity), at the stream's own
+      rate when the stream itself is the bottleneck (bandwidth-bound
+      fallback, which degenerates to serialized charging).
+
+    The final cycle count is ``max(compute, memory, busiest port)`` -
+    the ``max(compute, comm)`` shape of a pipelined stage.
+    ``serialized_cycles`` is what it would have been with every stream
+    serialized, accumulated in the same loop, so it never falls below
+    ``cycles``; the gap lands in ``overlap_hidden_cycles``.  Overlap
+    is never better than ``max(program_cycles, busiest port)``.
 
     ``chip`` tags every emitted :class:`~repro.obs.collector.OpEvent`
     with a pod chip index, giving each chip its own process row in the
@@ -331,24 +339,7 @@ def simulate(program: Program, cfg: ChipConfig,
     enabled, so uncheckpointed results keep their exact shape) and
     advances the memory clock, making the resilience bandwidth cost
     visible in the same units as Fig. 10a's traffic split.
-
-    ``cache`` routes the program through the compiler's lowering
-    pipeline (`repro.compiler.cache.compile_program`: hoisting +
-    pressure scheduling behind the content-addressed compile cache)
-    before simulating - the compile-once/run-many entry path for
-    repeated inference.  Accepts ``True`` (the default process-wide
-    cache), a directory path, or a ``CompileCache``.  The default
-    (``None``, overridable with ``REPRO_COMPILE_CACHE=1``) simulates
-    the given op stream exactly as passed, with no lowering and no
-    caching, so existing results are unchanged.  See docs/COMPILER.md.
     """
-    if cache is None and os.environ.get("REPRO_COMPILE_CACHE", "") in (
-            "1", "on", "true"):
-        cache = True
-    if cache:
-        from repro.compiler.cache import compile_program
-
-        program = compile_program(program, cfg, cache=cache)
     validate_program(program, cfg)
     n = program.degree
     ops = program.ops
@@ -677,52 +668,35 @@ def simulate(program: Program, cfg: ChipConfig,
 
     program_cycles = max(comp_clock, mem_clock)
 
-    # Interconnect (or other externally-owed) streams: serialized after
-    # the program's own memory traffic at each stream's own rate.  The
-    # pod layer charges a shard's link sends/receives here so a chip's
-    # cycles, traffic split and bandwidth utilization all see them.
-    if extra_streams:
-        for stream, (words, stream_wpc) in extra_streams.items():
-            if words <= 0:
-                continue
-            traffic[stream] = traffic.get(stream, 0.0) + words
-            mem_clock += words / (stream_wpc or words_per_cycle)
-            if tr is not None:
-                tr.count(f"sim.stream.{stream}", words)
-
-    # Overlappable streams: double-buffered transfers on dedicated
-    # per-direction ports.  Each stream occupies its own port for
-    # ``words / rate`` cycles concurrently with compute; its
-    # memory-system crossing claims memory cycles at the *faster* of HBM
-    # and the stream (idle-bandwidth hiding with a serialized fallback
-    # once the stream is bandwidth-bound).  ``serialized_cycles``
-    # recomputes the PR 8 serialized charge for the same streams so the
-    # hidden share is observable.
+    # Externally-owed streams (the pod layer's link sends/receives).
+    # ``serial_mem`` charges every stream serialized at its own rate;
+    # the memory clock charges a serialized stream the same, but an
+    # overlapped one only its memory-system crossing at the faster of
+    # HBM and the stream, while its own per-direction port carries it
+    # concurrently with compute.
+    serial_mem = mem_clock
     link_port_cycles = 0.0
-    overlap_hidden = 0.0
-    if overlap_streams:
-        serial_mem = mem_clock
-        for stream, (words, stream_wpc) in overlap_streams.items():
-            if words <= 0:
-                continue
-            rate = stream_wpc or words_per_cycle
-            traffic[stream] = traffic.get(stream, 0.0) + words
-            serial_mem += words / rate
+    for stream, (words, stream_wpc, overlap) in (streams or {}).items():
+        if words <= 0:
+            continue
+        rate = stream_wpc or words_per_cycle
+        traffic[stream] = traffic.get(stream, 0.0) + words
+        serial_mem += words / rate
+        if overlap:
             mem_clock += words / max(words_per_cycle, rate)
             link_port_cycles = max(link_port_cycles, words / rate)
-            if tr is not None:
-                tr.count(f"sim.stream.{stream}", words)
-        total_cycles = max(comp_clock, mem_clock, link_port_cycles)
-        serialized_cycles = max(comp_clock, serial_mem)
-        overlap_hidden = max(0.0, serialized_cycles - total_cycles)
+        else:
+            mem_clock += words / rate
         if tr is not None:
-            if overlap_hidden:
-                tr.count("sim.overlap.hidden_cycles", overlap_hidden)
-            if link_port_cycles:
-                tr.count("sim.overlap.port_cycles", link_port_cycles)
-    else:
-        total_cycles = max(comp_clock, mem_clock)
-        serialized_cycles = total_cycles
+            tr.count(f"sim.stream.{stream}", words)
+    total_cycles = max(comp_clock, mem_clock, link_port_cycles)
+    serialized_cycles = max(comp_clock, serial_mem)
+    overlap_hidden = max(0.0, serialized_cycles - total_cycles)
+    if tr is not None:
+        if overlap_hidden:
+            tr.count("sim.overlap.hidden_cycles", overlap_hidden)
+        if link_port_cycles:
+            tr.count("sim.overlap.port_cycles", link_port_cycles)
     return SimResult(
         name=program.name,
         config_name=cfg.name,

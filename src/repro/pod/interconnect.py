@@ -12,11 +12,11 @@ directly with :class:`~repro.core.simulator.SimResult`:
   port in total (bandwidth-optimal; the reduce-scatter + all-gather
   decomposition the distribution-strategies RFC sketches).
 
-The cycle helpers convert a chip's link obligations into stream entries
-for :func:`repro.core.simulator.simulate`.  Charged through
-``extra_streams`` they serialize onto the chip's memory clock at the
+The cycle helpers convert a chip's link obligations into ``streams``
+entries for :func:`repro.core.simulator.simulate`.  Charged with
+``overlap=False`` they serialize onto the chip's memory clock at the
 link's (much slower) rate - the pre-overlap model, still used for the
-data-parallel all-reduce.  Charged through ``overlap_streams`` each
+data-parallel all-reduce.  Charged with ``overlap=True`` each
 direction of the link is its own *double-buffered port* running
 concurrently with compute (``link_in`` / ``link_out`` are separate
 streams, full duplex), which is what lets a pipelined stage cost
@@ -78,8 +78,8 @@ class LinkModel:
 
     def stream_words(self, payload_words: float, hops: int = 1) -> float:
         """Equivalent stream length (words) of a transfer including its
-        per-hop latency, for charging through ``extra_streams`` (which
-        speaks words, not cycles)."""
+        per-hop latency, for charging through ``simulate``'s ``streams``
+        (which speak words, not cycles)."""
         if payload_words <= 0:
             return 0.0
         return payload_words \

@@ -104,8 +104,9 @@ def scaling_gate(rows: list[dict] | None = None,
       min-cut machinery has to actually pay off, not just not regress;
     * every data-parallel row in ``rows`` must be bit-identical to the
       pre-overlap serialized model, recomputed here explicitly (the
-      all-reduce charged through ``extra_streams``) - the overlap path
-      must never perturb data-parallel numbers, even in the last ulp.
+      all-reduce charged as a serialized stream, ``overlap=False``) -
+      the overlap path must never perturb data-parallel numbers, even
+      in the last ulp.
     """
     from repro.pod.interconnect import LinkModel
     from repro.pod.simulator import _output_words
@@ -136,11 +137,11 @@ def scaling_gate(rows: list[dict] | None = None,
         link = LinkModel(cfg, PodConfig(chips=k, strategy=DATA_PARALLEL))
         out_words = _output_words(program)
         ar_words = link.all_reduce_words(out_words, k)
-        extra = None
+        streams = None
         if ar_words:
             ar_cycles = link.all_reduce_cycles(out_words, k)
-            extra = {"link": (ar_words, ar_words / ar_cycles)}
-        ref = simulate(program, cfg, extra_streams=extra)
+            streams = {"link": (ar_words, ar_words / ar_cycles, False)}
+        ref = simulate(program, cfg, streams=streams)
         expect = ref.cycles / k
         if expect != r["clean_cycles_per_batch"]:
             problems.append(

@@ -1,7 +1,7 @@
 """K-chip pod simulation layered over the single-chip simulator.
 
 Every chip runs :func:`repro.core.simulator.simulate` on its shard, with
-its link obligations charged through ``extra_streams`` (so the chip's
+its link obligations charged through ``streams`` (so the chip's
 cycles, traffic split, and bandwidth utilization all include the
 interconnect) and its op events tagged with the chip index (so a pod
 trace renders as K parallel machines).
@@ -16,7 +16,7 @@ Two notions of cost come out of a pod run:
   Data-parallel: slowest replica / replica count (K batches in flight).
   Model-parallel: the slowest *overlapped* stage - with micro-batches
   streaming behind each other, every stage double-buffers its
-  ``link_in`` / ``link_out`` behind compute (``overlap_streams``), so
+  ``link_in`` / ``link_out`` behind compute (overlapped ``streams``), so
   the pipeline beat is ``max(compute, comm)``-shaped.
   ``PodResult.pipeline_cycles(m)`` composes the two:
   ``batch_cycles + (m - 1) * cycles_per_batch`` for an m-batch run
@@ -125,13 +125,13 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
         in_cycles[e.dst] += cycles
     results: list[SimResult] = []
     for j, shard in enumerate(part.shards):
-        overlap = {}
+        streams = {}
         if shard.cut_in_words and in_cycles[j]:
-            overlap["link_in"] = (shard.cut_in_words,
-                                  shard.cut_in_words / in_cycles[j])
+            streams["link_in"] = (shard.cut_in_words,
+                                  shard.cut_in_words / in_cycles[j], True)
         if shard.cut_out_words and out_cycles[j]:
-            overlap["link_out"] = (shard.cut_out_words,
-                                   shard.cut_out_words / out_cycles[j])
+            streams["link_out"] = (shard.cut_out_words,
+                                   shard.cut_out_words / out_cycles[j], True)
         shard_prog = shard.program
         if cache:
             # Shard artifacts are namespaced by the pod descriptor: a
@@ -142,8 +142,7 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
             shard_prog = compile_program(
                 shard_prog, cfg, pod=f"{k}x{pod.strategy}", cache=cache)
         results.append(simulate(
-            shard_prog, cfg, checkpoint_every, cache=None,
-            overlap_streams=overlap or None,
+            shard_prog, cfg, checkpoint_every, streams=streams,
             chip=alive[j] if alive is not None else j))
     return results
 
@@ -182,9 +181,14 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
         out_words = _output_words(program)
         ar_words = link.all_reduce_words(out_words, k)
         ar_cycles = link.all_reduce_cycles(out_words, k)
-        extra = None
+        streams = None
         if ar_words:
-            extra = {"link": (ar_words, ar_words / ar_cycles)}
+            streams = {"link": (ar_words, ar_words / ar_cycles, False)}
+        if cache:
+            # Replicas run the whole program: lower it once for all.
+            from repro.compiler.cache import compile_program
+
+            program = compile_program(program, cfg, cache=cache)
         chip_results: dict[int, SimResult] = {}
         shared: SimResult | None = None
         for c in alive:
@@ -193,8 +197,8 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                 # no per-chip event stream to distinguish them.
                 chip_results[c] = shared
                 continue
-            shared = simulate(program, cfg, checkpoint_every, cache,
-                              extra_streams=extra, chip=c)
+            shared = simulate(program, cfg, checkpoint_every,
+                              streams=streams, chip=c)
             chip_results[c] = shared
         slowest = max(r.cycles for r in chip_results.values())
         result = PodResult(

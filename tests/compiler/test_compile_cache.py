@@ -7,10 +7,10 @@ Three layers of guarantees, in the order the cache depends on them:
    builder-generated programs, plus the hoisted/batched real thing).
 2. Fingerprint contract - invariant under SSA/hint/plaintext renames,
    dict ordering, and display names; sensitive to every schedule-
-   relevant mutation of program, config, or pass flags.
+   relevant mutation of program or config, and to the pod descriptor.
 3. Cache behavior - LRU memory tier, persistent disk tier, corruption
    of any artifact byte degrades to a counted miss (never an exception,
-   never a wrong schedule), and ``simulate(cache=...)`` produces
+   never a wrong schedule), and simulating a cache-hit schedule gives
    bit-identical results to a fresh compile on the deep benchmarks.
 
 docs/COMPILER.md's worked example is validated here too, so the doc
@@ -33,15 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.cache import (
-    DEFAULT_FLAGS,
     FORMAT_VERSION,
     CompileCache,
     canonical_json,
     compile_program,
-    default_cache_dir,
     fingerprint,
     load_artifact,
-    normalize_flags,
     program_from_arrays,
     program_to_arrays,
     save_artifact,
@@ -228,24 +225,20 @@ def test_fingerprint_ignores_display_names_only():
 def test_fingerprint_sensitive_to_flags_and_ring_params():
     program = docs_example_program()
     base = fingerprint(program)
-    assert fingerprint(program, flags={"window": 8}) != base
-    assert fingerprint(program, flags={"reuse": True}) != base
-    assert fingerprint(program, flags=dict(DEFAULT_FLAGS)) == base
+    assert fingerprint(program, pod="4xmodel") != base
+    assert fingerprint(program, pod="4xmodel") != \
+        fingerprint(program, pod="2xmodel")
+    assert fingerprint(program, pod="") == base
     bigger = with_ops(program, list(program.ops))
     bigger.max_level = program.max_level + 1
     assert fingerprint(bigger) != base
 
 
 def test_fingerprint_insensitive_to_dict_ordering():
-    program = docs_example_program()
-    shuffled = dict(reversed(list(DEFAULT_FLAGS.items())))
-    assert fingerprint(program, flags=shuffled) == fingerprint(program)
     assert canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
-
-
-def test_unknown_pass_flag_is_rejected():
-    with pytest.raises(ArtifactError):
-        normalize_flags({"presure": True})  # typo must not alias pipelines
+    nested = {"pod": "", "config": {"x": 1.5, "y": [1, 2]}}
+    shuffled = {"config": {"y": [1, 2], "x": 1.5}, "pod": ""}
+    assert canonical_json(nested) == canonical_json(shuffled)
 
 
 # -- artifacts on disk ------------------------------------------------------
@@ -445,31 +438,6 @@ def test_cache_knob_accepts_a_directory_path(tmp_path):
         resolve_cache(123)
 
 
-def test_simulate_cache_knob_is_off_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
-    program = docs_example_program()
-    result = simulate(program, ChipConfig())
-    # No compilation happened: the program went in as-is.
-    assert result.name == program.name
-    with obs.collecting() as collector:
-        simulate(program, ChipConfig())
-    assert "compiler.cache.miss" not in collector.counters
-
-
-def test_simulate_cache_env_knob(monkeypatch, tmp_path):
-    import repro.compiler.cache as cache_mod
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
-    assert default_cache_dir() == tmp_path
-    program = docs_example_program()
-    first = simulate(program, ChipConfig())
-    second = simulate(docs_example_program(), ChipConfig())
-    assert first == second
-    assert cache_mod._DEFAULT_CACHE.stats["hit"] == 1
-    assert list(tmp_path.glob("*.json"))  # persisted via REPRO_CACHE_DIR
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("name", DEEP_BENCHMARKS)
 def test_cached_simulation_is_bit_identical(name):
@@ -479,8 +447,9 @@ def test_cached_simulation_is_bit_identical(name):
     program = benchmark(name)
     cfg = ChipConfig()
     cache = CompileCache()
-    fresh = simulate(program, cfg, cache=cache)   # miss: full pipeline
-    cached = simulate(program, cfg, cache=cache)  # hit: deserialized ops
+    # miss: full pipeline; hit: deserialized ops
+    fresh = simulate(compile_program(program, cfg, cache=cache), cfg)
+    cached = simulate(compile_program(program, cfg, cache=cache), cfg)
     assert cache.stats["hit"] == 1 and cache.stats["miss"] == 1
     assert cached == fresh  # dataclass equality: bit-identical everything
     assert cached.cycles == fresh.cycles
@@ -499,8 +468,6 @@ def test_compiler_doc_example_is_generated_from_code():
     from repro.compiler.cache import program_token
     assert token.group(1) == program_token(program)
     assert fp in text, "COMPILER.md's example fingerprint is stale"
-    doc_flags = re.search(r"DEFAULT_FLAGS = (\{[^}]+\})", text)
-    assert doc_flags and eval(doc_flags.group(1)) == DEFAULT_FLAGS
 
 
 def test_repo_docs_links_resolve():

@@ -1,10 +1,10 @@
 """Overlap-stream invariants of the core simulator.
 
 The pod layer's double-buffered transfers lean on three algebraic
-guarantees of ``simulate(..., overlap_streams=...)``:
+guarantees of ``simulate(..., streams=...)`` with ``overlap=True``:
 
 * *never worse than serialized*: the overlapped run's ``cycles`` is
-  bounded by what the same streams cost through ``extra_streams``, and
+  bounded by what the same streams cost with ``overlap=False``, and
   its ``serialized_cycles`` field reproduces that serialized run
   bit-for-bit (same float ops, same order);
 * *never better than physics*: overlap can hide a transfer behind
@@ -14,8 +14,8 @@ guarantees of ``simulate(..., overlap_streams=...)``:
   to ``program_cycles`` at every prefetch depth, so the serving layer's
   per-phase charging never invents or loses a cycle.
 
-Checked property-based on random DAGs x random stream sets, plus spot
-checks on a deep benchmark.
+Checked property-based on random DAGs x random stream sets (each stream
+overlapped or serialized), plus spot checks on a deep benchmark.
 """
 
 import pytest
@@ -28,6 +28,12 @@ from repro.core.simulator import simulate
 from repro.workloads import benchmark
 
 CFG = ChipConfig()
+
+
+def serialized_copy(streams: dict) -> dict:
+    """The same streams with every overlap flag cleared."""
+    return {name: (words, rate, False)
+            for name, (words, rate, _) in streams.items()}
 
 
 def random_program(draw_ops, inputs):
@@ -54,7 +60,7 @@ ops_strategy = st.lists(
 
 streams_strategy = st.dictionaries(
     st.sampled_from(["link_in", "link_out"]),
-    st.tuples(st.floats(1.0, 1e7), st.floats(0.01, 1e4)),
+    st.tuples(st.floats(1.0, 1e7), st.floats(0.01, 1e4), st.booleans()),
     min_size=1, max_size=2)
 
 
@@ -63,10 +69,10 @@ streams_strategy = st.dictionaries(
        streams=streams_strategy)
 def test_overlap_bounded_by_serialized_and_physics(ops, inputs, streams):
     program = random_program(ops, inputs)
-    overlapped = simulate(program, CFG, overlap_streams=streams)
-    serialized = simulate(program, CFG, extra_streams=streams)
+    overlapped = simulate(program, CFG, streams=streams)
+    serialized = simulate(program, CFG, streams=serialized_copy(streams))
     # Bit-identical serialized reference: the overlap run carries the
-    # would-have-been cost in the same float ops as extra_streams.
+    # would-have-been cost in the same float ops as serialized streams.
     assert overlapped.serialized_cycles == serialized.cycles
     assert overlapped.cycles <= serialized.cycles
     # Physics floor: the op stream's own critical path and the busiest
@@ -108,9 +114,9 @@ def test_deep_benchmark_overlap_spot_check():
     program = benchmark("logreg")
     plain = simulate(program, CFG)
     words = plain.mem_cycles  # ~1 word/cycle worth of extra transfers
-    streams = {"link_in": (words, 0.5), "link_out": (words, 0.5)}
-    overlapped = simulate(program, CFG, overlap_streams=streams)
-    serialized = simulate(program, CFG, extra_streams=streams)
+    streams = {"link_in": (words, 0.5, True), "link_out": (words, 0.5, True)}
+    overlapped = simulate(program, CFG, streams=streams)
+    serialized = simulate(program, CFG, streams=serialized_copy(streams))
     assert overlapped.serialized_cycles == serialized.cycles
     assert overlapped.cycles < serialized.cycles  # something hid
     assert overlapped.overlap_hidden_cycles > 0

@@ -3,18 +3,19 @@ linear-scan victim rule it replaced.
 
 The oracle evicts ``max(objects, key=(next_use, -words))``: the furthest
 next use, then the fewest words, and on a full tie the first resident in
-dict (insertion) order.  ``_RegisterFile`` must pick the same victims in
-the same order and track the same ``used`` and ``peak`` under any mix of
-inserts (fresh names and overwrites of resident names), next-use
-updates and drops.
+dict (insertion) order.  Overwriting a resident name releases its old
+words before any eviction, keeps the name's dict position, and never
+picks the old value as a victim.  ``_RegisterFile`` must pick the same
+victims in the same order and track the same ``used`` and ``peak`` under
+any mix of inserts (fresh names and overwrites of resident names),
+next-use updates and drops.
 """
 
 from __future__ import annotations
 
 import math
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.simulator import _RegisterFile
@@ -33,8 +34,10 @@ class LinearScanRegisterFile:
         evicted = []
         if words > self.capacity:
             return evicted
+        if obj in self.objects:
+            self.used -= self.objects[obj][0]
         while self.used + words > self.capacity:
-            victim = max(self.objects,
+            victim = max((o for o in self.objects if o != obj),
                          key=lambda o: (self.objects[o][1],
                                         -self.objects[o][0]))
             record = self.objects.pop(victim)
@@ -108,19 +111,19 @@ class EagerlyCompactedRegisterFile(_RegisterFile):
 @settings(max_examples=300, deadline=None)
 @given(capacity=st.sampled_from([4.0, 7.0, 12.0]), script=actions,
        store=st.sampled_from([_RegisterFile, EagerlyCompactedRegisterFile]))
+# Overwrites: "a" holds 4 of 10 words, not 8, so "b" evicts nothing; and
+# growing "v0" in place evicts "v1", never the old copy of "v0".
+@example(capacity=10.0, store=_RegisterFile, script=[
+    ("insert", "a", 4.0, 1), ("insert", "a", 4.0, 2),
+    ("insert", "b", 4.0, 3)])
+@example(capacity=8.0, store=_RegisterFile, script=[
+    ("insert", "v0", 4.0, math.inf), ("insert", "v1", 4.0, 1),
+    ("insert", "v0", 6.0, 2)])
 def test_heap_victims_match_linear_scan(capacity, script, store):
     oracle = LinearScanRegisterFile(capacity)
     rf = store(capacity)
     for action in script:
-        try:
-            want = _apply_oracle(oracle, action)
-        except ValueError:
-            # Overwriting a resident name does not release its old words,
-            # so ``used`` can outgrow the residents; both stores then run
-            # out of victims on the same insert.
-            with pytest.raises(IndexError):
-                _apply(rf, action)
-            break
+        want = _apply_oracle(oracle, action)
         assert _apply(rf, action) == want
         assert list(rf.objects) == list(oracle.objects)
         assert rf.used == oracle.used
@@ -136,5 +139,6 @@ def test_tie_goes_to_first_inserted_resident():
     rf.set_next_use("a", rf.objects["a"], math.inf)
     # So does overwriting "b" (a non-SSA result reusing a resident name).
     rf.insert("b", 2.0, "interm", True, math.inf)
-    victims = rf.insert("d", 6.0, "interm", True, 1)
+    victims = rf.insert("d", 8.0, "interm", True, 1)
     assert [name for name, _ in victims] == ["a", "b", "c"]
+

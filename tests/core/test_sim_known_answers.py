@@ -47,8 +47,8 @@ def _cases() -> dict:
                          checkpoint_every=8))
     cases["packed_bootstrap.streams"] = (
         lambda: simulate(benchmark("packed_bootstrap"), ChipConfig(),
-                         extra_streams={"link_in": (1.0e6, 8.0)},
-                         overlap_streams={"link_out": (4.0e6, 2.0)}))
+                         streams={"link_in": (1.0e6, 8.0, False),
+                                  "link_out": (4.0e6, 2.0, True)}))
     # Hoisted keyswitches (hoist_modup / rotate_hoisted) only appear in
     # lowered programs.
     cases["packed_bootstrap.hoisted"] = (

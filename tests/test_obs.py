@@ -158,16 +158,16 @@ def test_wall_clock_spans_and_report():
 
 
 def test_compiler_counters_via_ordering():
-    from repro.compiler import order_for_reuse
+    from repro.compiler import order_for_pressure
 
     program = benchmark("lola_mnist_uw")
     with obs.collecting() as c:
-        ordered = order_for_reuse(program)
+        ordered = order_for_pressure(program, ChipConfig())
     assert len(ordered.ops) == len(program.ops)
-    picks = (c.counters.get("compiler.reorder.reuse_picks", 0)
+    picks = (c.counters.get("compiler.reorder.killer_picks", 0)
              + c.counters.get("compiler.reorder.program_order_picks", 0))
     assert picks == len(program.ops)
-    assert "compiler.order_for_reuse" in c.span_totals()
+    assert "compiler.order_for_pressure" in c.span_totals()
 
 
 def test_gauges_last_write_wins_and_export():
