@@ -48,6 +48,7 @@ from repro.reliability.errors import (
     ParameterError,
 )
 from repro.reliability.guards import (
+    MIN_LEVEL,
     ReliabilityPolicy,
     check_min_level,
     check_same_basis,
@@ -414,12 +415,12 @@ class CkksContext:
             return a, b
         if a is b:
             a = b = self._normalize_scale(
-                self._ensure_level(a, self.policy.min_level + 1, op), op)
+                self._ensure_level(a, MIN_LEVEL + 1, op), op)
             return a, b
         a = self._normalize_scale(
-            self._ensure_level(a, self.policy.min_level + 1, op), op)
+            self._ensure_level(a, MIN_LEVEL + 1, op), op)
         b = self._normalize_scale(
-            self._ensure_level(b, self.policy.min_level + 1, op), op)
+            self._ensure_level(b, MIN_LEVEL + 1, op), op)
         if a.level != b.level:  # repairs may have desynced the bases
             target = min(a.level, b.level)
             a = self.drop_to_level(a, target)

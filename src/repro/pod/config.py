@@ -5,9 +5,10 @@ by point-to-point links in a ring (the all-reduce topology the
 tf-encrypted distribution-strategies RFC assumes for its mirrored
 variables).  The chips themselves are described by the existing
 :class:`~repro.core.config.ChipConfig`; this module adds only what the
-pod layer introduces - chip count, link bandwidth/latency, the sharding
-strategy, and the fault-recovery budgets for the two pod-level failure
-domains (chip fail-stop, link corruption).
+pod layer introduces - chip count, link bandwidth/latency and the
+sharding strategy.  The fault-recovery policy for the two pod-level
+failure domains (chip fail-stop, link corruption) has one value in use,
+so it is the module constants below.
 
 The link is deliberately far slower than HBM (100 GB/s per direction vs
 1 TB/s of HBM per chip, a NVLink-class : HBM2E-class ratio): the whole
@@ -17,7 +18,7 @@ as F1+'s all-to-all did.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.core.config import ChipConfig
 from repro.reliability.errors import ConfigError
@@ -25,6 +26,11 @@ from repro.reliability.errors import ConfigError
 DATA_PARALLEL = "data"
 MODEL_PARALLEL = "model"
 STRATEGIES = (DATA_PARALLEL, MODEL_PARALLEL)
+
+# Fault recovery for the pod failure domains.
+LINK_RETRIES = 3             # retransmits before InterconnectError
+LINK_BACKOFF_BASE_S = 1e-4   # base of the retransmit backoff_s schedule
+CHECKPOINT_ROUNDS = 2        # pod checkpoint every k lock-step rounds
 
 
 @dataclass(frozen=True)
@@ -41,13 +47,7 @@ class PodConfig:
     link_gbps: float = 100.0          # per direction, per link
     link_latency_cycles: float = 500.0  # per-hop fixed cost (SerDes + route)
     strategy: str = DATA_PARALLEL
-    # Fault-recovery budgets for the pod failure domains.
-    link_retries: int = 3             # retransmits before escalating
-    backoff_base_s: float = 1e-4      # retransmit backoff: base * factor**k
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25      # +- fraction, seeded
-    checkpoint_rounds: int = 2        # pod checkpoint every k lock-step rounds
-    seed: int = 2022
+    seed: int = 2022                  # backoff jitter and fault placement
 
     def __post_init__(self):
         if self.chips < 1:
@@ -62,18 +62,6 @@ class PodConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown pod strategy {self.strategy!r}",
                               known=STRATEGIES)
-        if self.link_retries < 0:
-            raise ConfigError("link_retries cannot be negative",
-                              link_retries=self.link_retries)
-        if self.backoff_base_s < 0 or self.backoff_factor < 1 \
-                or not 0 <= self.backoff_jitter < 1:
-            raise ConfigError(
-                "pod backoff must have base >= 0, factor >= 1, jitter in "
-                "[0, 1)", base=self.backoff_base_s,
-                factor=self.backoff_factor, jitter=self.backoff_jitter)
-        if self.checkpoint_rounds < 1:
-            raise ConfigError("checkpoint_rounds must be >= 1",
-                              checkpoint_rounds=self.checkpoint_rounds)
 
     # -- derived quantities --------------------------------------------------
 
@@ -82,24 +70,13 @@ class PodConfig:
         ``ChipConfig.hbm_words_per_cycle``)."""
         return self.link_gbps * 1e9 / chip.clock_hz / chip.bytes_per_word
 
-    def backoff_ceiling_s(self) -> float:
-        """Largest possible single retransmit backoff sleep."""
-        if not self.link_retries:
-            return 0.0
-        worst = self.backoff_base_s \
-            * self.backoff_factor ** (self.link_retries - 1)
-        return worst * (1 + self.backoff_jitter)
-
     def descriptor(self) -> str:
         """Stable short form for cache fingerprints, e.g. ``"4xdata"``.
 
         Only the fields that change a *lowered schedule* belong here:
         chip count and strategy decide how a program is partitioned;
-        bandwidth, latency and fault budgets only change simulated cost
-        and recovery behavior, never the emitted ops.
+        link bandwidth and latency only change simulated cost, and the
+        seed only backoff jitter and fault placement, never the emitted
+        ops.
         """
         return f"{self.chips}x{self.strategy}"
-
-    def cache_key(self) -> dict:
-        """Every knob, for result-level (not schedule-level) keying."""
-        return asdict(self)

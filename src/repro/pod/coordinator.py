@@ -21,7 +21,7 @@ failure domains:
   receiver's restore re-verifies the per-limb seals, so any flipped bit
   raises and the payload is never accepted.  The sender retransmits
   from its intact copy with seeded exponential backoff up to the pod's
-  ``link_retries`` budget, then escalates with
+  ``LINK_RETRIES`` budget, then escalates with
   :class:`~repro.reliability.errors.InterconnectError`.
 
 Execution state is a per-logical-chip dict of named ciphertexts; a step
@@ -39,7 +39,12 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import collector as obs
-from repro.pod.config import PodConfig
+from repro.pod.config import (
+    CHECKPOINT_ROUNDS,
+    LINK_BACKOFF_BASE_S,
+    LINK_RETRIES,
+    PodConfig,
+)
 from repro.reliability.errors import (
     ChipFailure,
     FaultDetectedError,
@@ -50,6 +55,7 @@ from repro.reliability.faults import CHIP, LINK, FaultInjector
 from repro.reliability.recovery import (
     Checkpoint,
     CiphertextSnapshot,
+    backoff_s,
     restore_checkpoint,
     snapshot_ciphertext,
     take_checkpoint,
@@ -178,18 +184,13 @@ class PodExecutor:
 
     # -- transfers ----------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> float:
-        base = self.pod.backoff_base_s * self.pod.backoff_factor ** attempt
-        jitter = 1 + self.pod.backoff_jitter * (2 * self.rng.random() - 1)
-        return base * jitter
-
     def _transfer(self, t: Transfer) -> None:
         sender = self.states[t.src]
         if t.name not in sender:
             raise ParameterError("transfer of a value the sender lacks",
                                  src=t.src, name=t.name)
         snap = snapshot_ciphertext(sender[t.name])  # sealed, sender-side
-        attempts = self.pod.link_retries + 1
+        attempts = LINK_RETRIES + 1
         for attempt in range(attempts):
             wire = CiphertextSnapshot(
                 moduli=snap.moduli,
@@ -212,7 +213,8 @@ class PodExecutor:
                 obs.count("pod.link_faults_detected")
                 if attempt + 1 < attempts:
                     self.stats.retransmits += 1
-                    self.stats.backoff_s += self._backoff(attempt)
+                    self.stats.backoff_s += backoff_s(
+                        LINK_BACKOFF_BASE_S, attempt, self.rng)
                     obs.count("pod.retransmits")
                 continue
             key = t.rename or t.name
@@ -224,7 +226,7 @@ class PodExecutor:
         raise InterconnectError(
             "link retransmit budget exhausted; transfer never arrived "
             "intact", src=t.src, dst=t.dst, name=t.name,
-            retries=self.pod.link_retries)
+            retries=LINK_RETRIES)
 
     # -- main loop ----------------------------------------------------------
 
@@ -265,6 +267,6 @@ class PodExecutor:
                 obs.count("pod.steps")
             for t in self.transfers.get(r, ()):  # round-boundary dataflow
                 self._transfer(t)
-            if (r + 1) % self.pod.checkpoint_rounds == 0:
+            if (r + 1) % CHECKPOINT_ROUNDS == 0:
                 self._checkpoint_all()
         return self.states

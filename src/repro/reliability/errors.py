@@ -127,10 +127,11 @@ class DeadlineExceeded(ReproError):
 class CircuitOpen(ReproError):
     """The tenant's circuit breaker is open; the request was not queued.
 
-    After ``breaker_threshold`` consecutive tenant-attributable failures
+    After ``BREAKER_THRESHOLD`` consecutive tenant-attributable failures
     (malformed payloads, not chip faults) the tenant's breaker opens and
-    its traffic is rejected at admission for ``breaker_cooldown_s`` of
-    virtual time, isolating a misbehaving tenant from the shared chip.
+    its traffic is rejected at admission for ``BREAKER_COOLDOWN_S`` of
+    virtual time (both in `repro.serve.config`), isolating a misbehaving
+    tenant from the shared chip.
     A half-open probe readmits one request after the cooldown; its
     outcome closes or re-opens the breaker.  Context carries the breaker
     state and when the next probe is due.
@@ -174,7 +175,7 @@ class InterconnectError(FaultDetectedError):
     valid inputs), so existing recovery ladders treat it as a detected
     fault.  The receiver never accepts the payload; the sender
     retransmits from its intact copy with seeded backoff, up to the
-    pod's ``link_retries`` budget, after which it escalates as
+    pod's ``LINK_RETRIES`` budget, after which it escalates as
     unrecoverable.  Context carries the link (sender, receiver) and the
     retry count.
     """

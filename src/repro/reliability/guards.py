@@ -32,6 +32,10 @@ from repro.reliability.errors import (
 STRICT = "strict"
 DEGRADE = "degrade"
 
+# Degrade mode bootstraps whenever an op would need to go below this
+# level.
+MIN_LEVEL = 1
+
 
 @dataclass
 class ReliabilityPolicy:
@@ -63,11 +67,6 @@ class ReliabilityPolicy:
     mode: str = STRICT
     track_noise: bool = False
     checksums: bool = False
-    # Degradation details: bootstrap whenever an op would need to go
-    # below this level, and keep this many headroom bits before deciding
-    # a multiply's scale no longer fits the live modulus.
-    min_level: int = 1
-    headroom_margin_bits: float = 2.0
 
     def __post_init__(self):
         if self.mode not in (STRICT, DEGRADE):
@@ -75,9 +74,6 @@ class ReliabilityPolicy:
                 f"unknown reliability mode {self.mode!r}",
                 expected=f"{STRICT!r} or {DEGRADE!r}",
             )
-        if self.min_level < 1:
-            raise ParameterError("min_level must be >= 1",
-                                 min_level=self.min_level)
 
     @property
     def degrade(self) -> bool:

@@ -164,8 +164,8 @@ class Checkpoint:
         return sum(s.size_words() for s in self.entries.values())
 
 
-def take_checkpoint(ctx, state: dict, step: int, label: str = "",
-                    verify: bool = True) -> Checkpoint:
+def take_checkpoint(ctx, state: dict, step: int,
+                    label: str = "") -> Checkpoint:
     """Snapshot every ciphertext in ``state`` after verifying its seal.
 
     The verification is what keeps rollback targets trustworthy: a limb
@@ -177,8 +177,7 @@ def take_checkpoint(ctx, state: dict, step: int, label: str = "",
         obs.count("reliability.recovery.checkpoints")
         entries = {}
         for name, ct in state.items():
-            if verify:
-                ctx.verify_integrity(ct, f"checkpoint entry {name!r}")
+            ctx.verify_integrity(ct, f"checkpoint entry {name!r}")
             entries[name] = snapshot_ciphertext(ct)
         return Checkpoint(step=step, entries=entries, label=label)
 
@@ -331,6 +330,28 @@ class DiskStore:
 # -- recovery policy and executor --------------------------------------------
 
 
+# Full-program restarts (from the verified initial state) the executor
+# attempts once checkpoint replays are exhausted, before giving up with
+# UnrecoverableFaultError.
+MAX_RESTARTS = 1
+
+
+def backoff_s(base_s: float, k: int, rng=None) -> float:
+    """The one retry-backoff schedule: the pause before retry ``k``.
+
+    ``k`` counts from 0, so the pause doubles from ``base_s`` onward and
+    is jittered by up to +-25 %: ``base_s * 2**k * (1 + 0.25 * (2u - 1))``
+    with ``u`` one draw from ``rng`` - a seeded generator keeps jittered
+    schedules reproducible while still decorrelating retry storms that
+    share a fault domain.  Without an rng ``u = 1``: the top of the
+    jitter band, the worst-case pause (what serve admission budgets for).
+    Executor replays, serve-level retries and pod link retransmits all
+    pause by this schedule.
+    """
+    u = 1.0 if rng is None else rng.random()
+    return base_s * 2.0 ** k * (1.0 + 0.25 * (2.0 * u - 1.0))
+
+
 @dataclass
 class RecoveryPolicy:
     """How a program reacts when an integrity check fires mid-run.
@@ -340,52 +361,29 @@ class RecoveryPolicy:
     ``max_retries``: replays from checkpoints before escalating to a full
     restart; each failed retry *discards the newest checkpoint* - if
     replay from a checkpoint keeps faulting, the checkpoint itself is
-    suspect, so escalation walks backwards through the ring.
-    ``max_restarts``: full-program restarts (from the verified initial
-    state) before giving up with :class:`UnrecoverableFaultError`.
-    ``backoff_base_s`` / ``backoff_factor``: exponential pause before
-    retry k sleeps ``base * factor**(k-1)`` seconds - pointless for
-    deterministic replays, essential when the fault source is a flaky
-    external resource; 0 disables (the default keeps tests fast).
-    ``backoff_jitter``: fractional randomization of each pause (a pause
-    of d becomes ``d * (1 + jitter * u)``, u uniform in [-1, 1)), which
-    decorrelates retry storms when many executors share a fault domain
-    - the serving front-end (`repro.serve`) passes its seeded rng so
-    jittered schedules stay reproducible.  Where the pause *happens* is
-    the executor's ``sleep`` hook: ``time.sleep`` by default, a virtual
-    clock under simulation.
-    ``verify_checkpoints``: verify every entry's seal at checkpoint time
-    (strongly recommended: an unverified checkpoint taken between a
-    corruption and its detection poisons every rollback to it).
+    suspect, so escalation walks backwards through the ring.  After
+    :data:`MAX_RESTARTS` full restarts the executor gives up.
+    ``backoff_base_s``: base of the :func:`backoff_s` pause before each
+    replay - pointless for deterministic replays, essential when the
+    fault source is a flaky external resource; 0 disables (the default
+    keeps tests fast).  Where the pause *happens* is the executor's
+    ``sleep`` hook: ``time.sleep`` by default, a virtual clock under
+    simulation.  Every checkpoint's entries are seal-verified when it is
+    taken: an unverified checkpoint taken between a corruption and its
+    detection would poison every rollback to it.
     """
 
     checkpoint_every: int = 4
     max_retries: int = 3
-    max_restarts: int = 1
     backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.0
-    verify_checkpoints: bool = True
 
     def __post_init__(self):
         if self.checkpoint_every < 1:
             raise ParameterError("checkpoint_every must be >= 1",
                                  checkpoint_every=self.checkpoint_every)
-        if self.max_retries < 0 or self.max_restarts < 0:
-            raise ParameterError("retry/restart counts must be >= 0",
-                                 max_retries=self.max_retries,
-                                 max_restarts=self.max_restarts)
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ParameterError("backoff_jitter is a fraction in [0, 1)",
-                                 backoff_jitter=self.backoff_jitter)
-
-    def backoff_seconds(self, retry: int, rng=None) -> float:
-        if self.backoff_base_s <= 0:
-            return 0.0
-        pause = self.backoff_base_s * self.backoff_factor ** max(0, retry - 1)
-        if self.backoff_jitter and rng is not None:
-            pause *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return pause
+        if self.max_retries < 0:
+            raise ParameterError("max_retries must be >= 0",
+                                 max_retries=self.max_retries)
 
 
 @dataclass
@@ -425,7 +423,7 @@ class RecoveringExecutor:
        ``max_retries`` times, discarding the newest checkpoint after
        each failed attempt - it may itself hold undetected corruption);
     2. restart the whole program from the verified initial snapshot
-       (up to ``max_restarts`` times);
+       (up to :data:`MAX_RESTARTS` times);
     3. raise :class:`UnrecoverableFaultError` carrying the history.
     """
 
@@ -442,7 +440,7 @@ class RecoveringExecutor:
         # deployments, a virtual clock's ``sleep`` under the serving
         # simulation (no wall-clock calls in deterministic campaigns).
         self._sleep = sleep if sleep is not None else time.sleep
-        self._rng = rng  # jitter source for policy.backoff_seconds
+        self._rng = rng  # jitter source for the backoff_s pauses
         # Live view of the running program's state dict, for integrity
         # boundary hooks (e.g. the RF eviction sweep) that need to see
         # the current residents mid-keyswitch.
@@ -450,9 +448,7 @@ class RecoveringExecutor:
 
     def _checkpoint(self, state: dict, step: int,
                     stats: RecoveryStats) -> Checkpoint:
-        ckpt = take_checkpoint(self.ctx, state, step,
-                               label=f"step{step}",
-                               verify=self.policy.verify_checkpoints)
+        ckpt = take_checkpoint(self.ctx, state, step, label=f"step{step}")
         if self.cfg is not None:
             ckpt.cycles = checkpoint_cycles(ckpt, self.cfg)
             stats.checkpoint_cycles += ckpt.cycles
@@ -490,8 +486,7 @@ class RecoveringExecutor:
         policy = self.policy
         stats = RecoveryStats()
         self.state = state
-        initial = take_checkpoint(self.ctx, state, 0, label="initial",
-                                  verify=policy.verify_checkpoints)
+        initial = take_checkpoint(self.ctx, state, 0, label="initial")
         executed: set[int] = set()
         # Retries are scoped to the faulting step: earlier steps replaying
         # cleanly after a rollback is expected, not progress against the
@@ -529,7 +524,8 @@ class RecoveringExecutor:
                 obs.count("reliability.recovery.detections")
                 retries = fault_counts[i] = fault_counts.get(i, 0) + 1
                 if retries <= policy.max_retries:
-                    pause = policy.backoff_seconds(retries, self._rng)
+                    pause = backoff_s(policy.backoff_base_s, retries - 1,
+                                      self._rng)
                     if pause:
                         stats.backoff_seconds += pause
                         self._sleep(pause)
@@ -540,7 +536,7 @@ class RecoveringExecutor:
                     state, i = self._restore(self.store.latest(), initial,
                                              stats)
                     self.state = state
-                elif stats.restarts < policy.max_restarts:
+                elif stats.restarts < MAX_RESTARTS:
                     stats.restarts += 1
                     obs.count("reliability.recovery.restarts")
                     fault_counts.clear()

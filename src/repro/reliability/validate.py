@@ -15,6 +15,8 @@ All checks are O(ops) and allocation-free; `simulate` calls
 
 from __future__ import annotations
 
+import math
+
 from repro.reliability.errors import ConfigError, ScheduleError
 
 
@@ -27,8 +29,8 @@ def validate_config(cfg) -> None:
 
     Also accepts a serving config (`repro.serve.config.ServeConfig`,
     recognized structurally by its ``queue_depth`` field) and rejects
-    nonsensical serving setups - a zero-depth queue, a non-positive
-    deadline, a packing block that does not tile the slot count - with
+    nonsensical serving setups - a zero-depth queue, a non-finite
+    payload cap, a packing block that does not tile the slot count - with
     the same :class:`ConfigError` family, so one pre-flight entry point
     covers both the chip and the front-end in front of it.
     """
@@ -59,10 +61,6 @@ def _validate_serve_config(cfg) -> None:
         raise ConfigError(
             "serve queue depth must be >= 1; a zero-depth queue sheds "
             "every request", queue_depth=cfg.queue_depth)
-    if cfg.default_deadline_s <= 0:
-        raise ConfigError(
-            "default deadline must be positive virtual seconds",
-            default_deadline_s=cfg.default_deadline_s)
     if cfg.degree & (cfg.degree - 1) or cfg.degree < 8:
         raise ConfigError("serve degree must be a power of two >= 8",
                           degree=cfg.degree)
@@ -87,34 +85,17 @@ def _validate_serve_config(cfg) -> None:
             "level 1 the last modulus roughly equals the scale, leaving "
             "a ~0.5 representable range that real scores silently wrap "
             "around", max_level=cfg.max_level)
-    if cfg.batch_window_s < 0:
-        raise ConfigError("batch window cannot be negative",
-                          batch_window_s=cfg.batch_window_s)
-    if not 0.0 < cfg.degrade_watermark <= 1.0:
+    if not 0.0 <= cfg.batch_window_s < math.inf:
         raise ConfigError(
-            "degrade watermark is a fraction of queue_depth in (0, 1]",
-            degrade_watermark=cfg.degrade_watermark)
-    if cfg.max_retries < 0:
-        raise ConfigError("max_retries must be >= 0",
-                          max_retries=cfg.max_retries)
-    if cfg.backoff_base_s < 0 or cfg.backoff_factor < 1:
+            "batch window must be finite and non-negative: NaN turns "
+            "off the admission deadline check, inf sheds every request "
+            "as deadline-infeasible",
+            batch_window_s=cfg.batch_window_s)
+    if not 0.0 < cfg.payload_limit < math.inf:
         raise ConfigError(
-            "backoff needs base >= 0 and factor >= 1",
-            backoff_base_s=cfg.backoff_base_s,
-            backoff_factor=cfg.backoff_factor)
-    if not 0.0 <= cfg.backoff_jitter < 1.0:
-        raise ConfigError("backoff jitter is a fraction in [0, 1)",
-                          backoff_jitter=cfg.backoff_jitter)
-    if cfg.breaker_threshold < 1:
-        raise ConfigError(
-            "breaker opens after K >= 1 consecutive failures",
-            breaker_threshold=cfg.breaker_threshold)
-    if cfg.breaker_cooldown_s < 0:
-        raise ConfigError("breaker cooldown cannot be negative",
-                          breaker_cooldown_s=cfg.breaker_cooldown_s)
-    if cfg.checkpoint_every < 1:
-        raise ConfigError("checkpoint_every must be >= 1",
-                          checkpoint_every=cfg.checkpoint_every)
+            "payload limit must be finite and positive: NaN or inf "
+            "admits magnitudes that silently wrap in CKKS, <= 0 sheds "
+            "every request", payload_limit=cfg.payload_limit)
 
 
 def validate_program(program, cfg) -> None:

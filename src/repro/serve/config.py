@@ -1,14 +1,17 @@
 """Serving front-end configuration and its pre-flight validation.
 
-One frozen dataclass holds every robustness knob of `repro.serve`:
-capacity (queue depth, packing geometry), deadlines, the degradation
-ladder, retry/backoff, and the per-tenant circuit breaker.  Construction
-runs :func:`repro.reliability.validate.validate_config`, which
-recognizes serve configs structurally and rejects nonsense (zero queue
-depth, negative deadline, a block that does not tile the slot count)
-with :class:`~repro.reliability.errors.ConfigError` before a single
-request is accepted - the same fail-in-microseconds contract the chip
-simulator gives (program, ChipConfig) pairings.
+One frozen dataclass holds what a deployment actually varies: the
+packing geometry, the seed, the queue bound, the batch window, response
+verification and the payload cap.  The serving policy around them -
+deadlines, the degradation ladder, retry/backoff, the per-tenant
+circuit breaker - has one value in use, so it lives below as module
+constants.  Construction runs
+:func:`repro.reliability.validate.validate_config`, which recognizes
+serve configs structurally and rejects nonsense (zero queue depth, a
+non-finite payload cap, a block that does not tile the slot count) with
+:class:`~repro.reliability.errors.ConfigError` before a single request
+is accepted - the same fail-in-microseconds contract the chip simulator
+gives (program, ChipConfig) pairings.
 
 The defaults describe a small-but-real instance: N=256 (128 slots),
 16-slot tenant blocks, so 8 tenants share one ciphertext.  Production
@@ -22,7 +25,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.reliability.recovery import backoff_s
 from repro.reliability.validate import validate_config
+
+# -- admission control ---------------------------------------------------
+DEFAULT_DEADLINE_S = 5e-3    # deadline when the client sets none
+
+# -- graceful degradation ------------------------------------------------
+# At this backlog fraction of queue_depth the server degrades: it stops
+# waiting for full batches and divides the packing target, trading
+# throughput for bounded latency *before* shedding.
+DEGRADE_WATERMARK = 0.5
+DEGRADE_BATCH_DIVISOR = 2
+
+# -- retries / faults ----------------------------------------------------
+MAX_RETRIES = 2              # serve-level batch re-executions
+BACKOFF_BASE_S = 1e-4        # base of the backoff_s schedule
+CHECKPOINT_EVERY = 2         # RecoveringExecutor checkpoint cadence
+EXECUTOR_RETRIES = 1         # in-executor checkpoint replays
+
+# -- per-tenant circuit breaker ------------------------------------------
+BREAKER_THRESHOLD = 3        # consecutive failures before opening
+BREAKER_COOLDOWN_S = 2e-2    # open -> half-open probe delay
 
 
 @dataclass(frozen=True)
@@ -41,41 +65,9 @@ class ServeConfig:
     max_batch: int = 8           # tenant queries packed per ciphertext
     seed: int = 2022             # keys, weights, jitter - everything
 
-    # -- admission control / load shedding --------------------------------
+    # -- admission / batching ---------------------------------------------
     queue_depth: int = 64        # bound on queued requests (hard)
-    default_deadline_s: float = 5e-3   # deadline when the client sets none
-    admission_slack: float = 1.0 # scale on the wait estimate used by the
-    #                              deadline-feasibility check (>1 sheds
-    #                              earlier, <1 gambles on the estimate)
-
-    # -- batching / graceful degradation ----------------------------------
     batch_window_s: float = 2e-4 # max wait for a batch to fill
-    degrade_watermark: float = 0.5   # backlog fraction of queue_depth at
-    #                              which the server degrades: it stops
-    #                              waiting for full batches and halves the
-    #                              packing target, trading throughput for
-    #                              bounded latency *before* shedding
-    degrade_batch_divisor: int = 2
-
-    # -- retries / faults --------------------------------------------------
-    max_retries: int = 2         # serve-level batch re-executions
-    backoff_base_s: float = 1e-4
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
-    admission_retry_budget: float = 1.0  # fraction of the worst-case
-    #                              retry/backoff budget folded into the
-    #                              admission ETA.  1.0 = a request is only
-    #                              admitted if its deadline survives every
-    #                              retry pausing at the backoff ceiling;
-    #                              0.0 restores the old optimistic ETA
-    #                              that shed *after* burning chip time
-    checkpoint_every: int = 2    # RecoveringExecutor checkpoint cadence
-    executor_retries: int = 1    # in-executor checkpoint replays
-    executor_restarts: int = 1   # in-executor full restarts
-
-    # -- per-tenant circuit breaker ---------------------------------------
-    breaker_threshold: int = 3   # consecutive failures before opening
-    breaker_cooldown_s: float = 2e-2  # open -> half-open probe delay
 
     # -- verification ------------------------------------------------------
     verify_responses: bool = False  # clean-replay every completed batch
@@ -100,16 +92,13 @@ class ServeConfig:
     def retry_budget_s(self) -> float:
         """Worst-case serve-level backoff a faulted batch accumulates.
 
-        ``max_retries`` pauses, each bounded by the *ceiling* pause (the
-        last retry's exponential step at full positive jitter), scaled
-        by ``admission_retry_budget``.  The admission ETA folds this in
-        so a request whose deadline only holds if nothing ever faults is
-        shed up front instead of expiring after occupying the chip.
+        ``MAX_RETRIES`` pauses, each bounded by the *ceiling* pause (the
+        last retry's :func:`backoff_s` step at full positive jitter).
+        The admission ETA folds this in so a request whose deadline only
+        holds if nothing ever faults is shed up front instead of
+        expiring after occupying the chip.
         """
-        ceiling = self.backoff_base_s \
-            * self.backoff_factor ** max(0, self.max_retries - 1) \
-            * (1.0 + self.backoff_jitter)
-        return self.admission_retry_budget * self.max_retries * ceiling
+        return MAX_RETRIES * backoff_s(BACKOFF_BASE_S, MAX_RETRIES - 1)
 
     def with_(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -60,10 +60,22 @@ from repro.reliability.recovery import (
     RecoveringExecutor,
     RecoveryPolicy,
     RingBufferStore,
+    backoff_s,
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.clock import VirtualClock
-from repro.serve.config import ServeConfig
+from repro.serve.config import (
+    BACKOFF_BASE_S,
+    BREAKER_COOLDOWN_S,
+    BREAKER_THRESHOLD,
+    CHECKPOINT_EVERY,
+    DEFAULT_DEADLINE_S,
+    DEGRADE_BATCH_DIVISOR,
+    DEGRADE_WATERMARK,
+    EXECUTOR_RETRIES,
+    MAX_RETRIES,
+    ServeConfig,
+)
 from repro.serve.packing import SlotPacker
 from repro.serve.request import (
     COMPLETED,
@@ -235,8 +247,7 @@ class Server:
         br = self.breakers.get(tenant)
         if br is None:
             br = self.breakers[tenant] = CircuitBreaker(
-                tenant, self.cfg.breaker_threshold,
-                self.cfg.breaker_cooldown_s)
+                tenant, BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
         return br
 
     def _shed(self, reason: str) -> None:
@@ -354,9 +365,9 @@ class Server:
                               tenant=tenant, chips=len(self.chips_free_at))
 
         deadline = now + (deadline_s if deadline_s is not None
-                          else self.cfg.default_deadline_s)
+                          else DEFAULT_DEADLINE_S)
         eta = self._eta(kind, now)
-        if now + self.cfg.admission_slack * eta > deadline:
+        if now + eta > deadline:
             self._shed(SHED_DEADLINE)
             raise DeadlineExceeded(
                 "deadline infeasible at admission", tenant=tenant,
@@ -413,11 +424,10 @@ class Server:
             return False
 
         backlog = len(self.queue)
-        degraded = backlog >= self.cfg.degrade_watermark \
-            * self.cfg.queue_depth
+        degraded = backlog >= DEGRADE_WATERMARK * self.cfg.queue_depth
         target = self.cfg.max_batch
         if degraded:
-            target = max(1, target // self.cfg.degrade_batch_divisor)
+            target = max(1, target // DEGRADE_BATCH_DIVISOR)
 
         # EDF: the most urgent request picks the batch's kind, then
         # same-kind requests fill the ciphertext in deadline order.
@@ -487,7 +497,7 @@ class Server:
         state = stats = None
         retries = faults_recovered = 0
         last_error = "UnrecoverableFaultError"
-        for attempt in range(c.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             run_steps = steps
             if self.fault_factory is not None:
                 run_steps = self.fault_factory(record.batch_id, attempt,
@@ -520,10 +530,10 @@ class Server:
                 last_error = "UnrecoverableFaultError"
             if state is not None:
                 break
-            if attempt < c.max_retries:
+            if attempt < MAX_RETRIES:
                 retries += 1
                 self._count("retries")
-                pause = self._backoff(attempt + 1)
+                pause = backoff_s(BACKOFF_BASE_S, attempt, self._rng)
                 duration += pause
                 occupancy_s += pause
                 obs.count("serve.backoff_s", pause)
@@ -586,14 +596,9 @@ class Server:
 
     def _run_attempt(self, run_steps, kind: str, master):
         """One executor run from the batch's master ciphertext."""
-        c = self.cfg
-        policy = RecoveryPolicy(
-            checkpoint_every=c.checkpoint_every,
-            max_retries=c.executor_retries,
-            max_restarts=c.executor_restarts,
-            backoff_base_s=c.backoff_base_s,
-            backoff_factor=c.backoff_factor,
-            backoff_jitter=c.backoff_jitter)
+        policy = RecoveryPolicy(checkpoint_every=CHECKPOINT_EVERY,
+                                max_retries=EXECUTOR_RETRIES,
+                                backoff_base_s=BACKOFF_BASE_S)
         pauses: list[float] = []
         exe = RecoveringExecutor(
             self.ctx, policy, store=RingBufferStore(4), cfg=self.chip,
@@ -617,14 +622,6 @@ class Server:
         """Executor resilience cost in (virtual) seconds."""
         return (stats.overhead_cycles / self.chip.clock_hz
                 + stats.backoff_seconds)
-
-    def _backoff(self, retry: int) -> float:
-        pause = self.cfg.backoff_base_s \
-            * self.cfg.backoff_factor ** max(0, retry - 1)
-        if self.cfg.backoff_jitter:
-            pause *= 1.0 + self.cfg.backoff_jitter \
-                * (2.0 * self._rng.random() - 1.0)
-        return pause
 
     def _verify(self, state, kind: str, master) -> bool:
         """Clean replay from the master ciphertext, compared bit-exactly.

@@ -47,11 +47,6 @@ def test_unknown_mode_rejected():
         ReliabilityPolicy(mode="fastest")
 
 
-def test_min_level_must_be_positive():
-    with pytest.raises(ParameterError, match="min_level"):
-        ReliabilityPolicy(min_level=0)
-
-
 # -- guard helpers ----------------------------------------------------------
 
 def test_check_same_basis_passes_and_raises():

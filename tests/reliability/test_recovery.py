@@ -15,6 +15,7 @@ from repro.reliability.recovery import (
     RecoveringExecutor,
     RecoveryPolicy,
     RingBufferStore,
+    backoff_s,
     restore_checkpoint,
     run_recovery_campaign,
     snapshot_ciphertext,
@@ -142,7 +143,7 @@ def test_persistent_fault_escalates_to_unrecoverable(rctx):
     steps = _steps(ctx, rot, 4)
     trial = list(steps)
     trial[2] = ("s2", always_faults)
-    policy = RecoveryPolicy(checkpoint_every=2, max_retries=2, max_restarts=1)
+    policy = RecoveryPolicy(checkpoint_every=2, max_retries=2)
     exe = RecoveringExecutor(ctx, policy)
     with pytest.raises(UnrecoverableFaultError) as exc:
         exe.run(trial, _state(ctx, sk))
@@ -238,7 +239,19 @@ def test_policy_validation():
         RecoveryPolicy(checkpoint_every=0)
     with pytest.raises(ParameterError):
         RecoveryPolicy(max_retries=-1)
-    assert RecoveryPolicy(backoff_base_s=0.5).backoff_seconds(2) == 1.0
+
+
+def test_backoff_schedule_known_answers():
+    """The one backoff schedule, pinned: one seeded draw per pause, the
+    jitter-band ceiling without an rng, and no pause at base 0 (the
+    executor's default)."""
+    rng = np.random.default_rng(2022)
+    assert [backoff_s(1e-4, k, rng) for k in range(1, 5)] == [
+        0.00017474260634525995, 0.0003185980123350973,
+        0.0008447053492244774, 0.0012485296588272735]
+    assert [backoff_s(1e-4, k) for k in range(1, 5)] == [
+        0.00025, 0.0005, 0.001, 0.002]
+    assert backoff_s(0.0, 3) == 0.0
 
 
 def test_ring_buffer_store_bounds_and_drops():

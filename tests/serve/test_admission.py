@@ -21,6 +21,7 @@ from repro.reliability.errors import (
     ReproError,
 )
 from repro.serve import ServeConfig, Server
+from repro.serve.config import BREAKER_COOLDOWN_S, BREAKER_THRESHOLD
 from repro.serve.request import EXPIRED
 
 TYPED = (Overloaded, DeadlineExceeded, CircuitOpen, ParameterError)
@@ -89,7 +90,7 @@ def test_typed_errors_subclass_repro_error():
 def test_breaker_quarantines_only_the_poison_tenant(shared_server):
     s = shared_server
     _drain(s)
-    for _ in range(s.cfg.breaker_threshold):
+    for _ in range(BREAKER_THRESHOLD):
         with pytest.raises(ParameterError):
             s.submit("poison", "logreg", np.full(16, np.nan))
     with pytest.raises(CircuitOpen):
@@ -98,7 +99,7 @@ def test_breaker_quarantines_only_the_poison_tenant(shared_server):
     s.submit("honest", "logreg", np.zeros(16))
     # After the cooldown, the probe is admitted and (being valid)
     # closes the breaker at validation.
-    s.clock.advance(s.cfg.breaker_cooldown_s * 1.01)
+    s.clock.advance(BREAKER_COOLDOWN_S * 1.01)
     s.submit("poison", "logreg", np.zeros(16))
     assert s.breakers["poison"].state == "closed"
     _drain(s)
@@ -162,22 +163,22 @@ def test_overload_shed_is_exact(depth, extra):
 
 @pytest.mark.parametrize("bad", [
     dict(queue_depth=0),
-    dict(default_deadline_s=0.0),
+    dict(degree=4),                    # below the minimum ring
     dict(degree=100),                  # not a power of two
+    dict(block_slots=1),               # no reduction stride left
     dict(block_slots=3),               # not a power of two
     dict(block_slots=256),             # exceeds the slot count
     dict(max_batch=0),
     dict(max_batch=100),               # exceeds block capacity
     dict(max_level=4),                 # lstm would end at level 1: wrap
     dict(batch_window_s=-1e-3),
-    dict(degrade_watermark=0.0),
-    dict(degrade_watermark=1.5),
-    dict(max_retries=-1),
-    dict(backoff_base_s=-1.0),
-    dict(backoff_jitter=1.0),
-    dict(breaker_threshold=0),
-    dict(breaker_cooldown_s=-1.0),
-    dict(checkpoint_every=0),
+    dict(batch_window_s=float("nan")),  # no deadline check at admission
+    dict(batch_window_s=float("inf")),  # every request infeasible
+    dict(payload_limit=float("nan")),  # admits any finite magnitude
+    dict(payload_limit=float("inf")),
+    dict(payload_limit=float("-inf")),
+    dict(payload_limit=0.0),           # sheds every request
+    dict(payload_limit=-1.0),
 ])
 def test_validate_config_rejects_nonsense(bad):
     with pytest.raises(ConfigError):

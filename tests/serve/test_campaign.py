@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from repro.obs import collector as obs
+from repro.reliability.recovery import MAX_RESTARTS, backoff_s
 from repro.serve import ServeConfig
-from repro.serve.clock import VirtualClock
+from repro.serve.config import (
+    BACKOFF_BASE_S,
+    DEGRADE_BATCH_DIVISOR,
+    EXECUTOR_RETRIES,
+)
 from repro.serve.loadgen import (
     STUBBORN,
     LoadSpec,
@@ -108,8 +113,7 @@ def test_stubborn_faults_defeat_executor_but_not_serve():
     assert res.retries > 0              # executor was defeated
     assert res.failed == 0              # serve retries absorbed it all
     assert res.wrong_answers == 0
-    assert STUBBORN > ServeConfig().executor_retries \
-        + ServeConfig().executor_restarts
+    assert STUBBORN > EXECUTOR_RETRIES + MAX_RESTARTS
 
 
 def test_fault_planner_is_deterministic():
@@ -163,19 +167,17 @@ def test_virtual_clock_only_no_wallclock_in_serve():
 
 
 def test_backoff_is_exponential_with_bounded_jitter():
-    cfg = ServeConfig(seed=5)
-    srv = Server(cfg, clock=VirtualClock())
-    pauses = [srv._backoff(k) for k in range(1, 4)]
-    for k, pause in enumerate(pauses, start=1):
-        nominal = cfg.backoff_base_s * cfg.backoff_factor ** (k - 1)
-        assert nominal * (1 - cfg.backoff_jitter) <= pause \
-            <= nominal * (1 + cfg.backoff_jitter)
+    rng = np.random.default_rng(5)
+    pauses = [backoff_s(BACKOFF_BASE_S, k, rng) for k in range(3)]
+    for k, pause in enumerate(pauses):
+        nominal = BACKOFF_BASE_S * 2.0 ** k
+        assert nominal * 0.75 <= pause <= nominal * 1.25
     # Exponential growth dominates the jitter band.
     assert pauses[2] > pauses[0]
 
 
 def test_degradation_halves_batches_under_backlog():
-    cfg = ServeConfig(seed=5, queue_depth=8, degrade_watermark=0.5)
+    cfg = ServeConfig(seed=5, queue_depth=8)
     srv = Server(cfg)
     for i in range(8):                   # at the watermark: degraded
         srv.submit(f"t{i}", "logreg", np.zeros(16))
@@ -183,5 +185,5 @@ def test_degradation_halves_batches_under_backlog():
     assert srv.batches[0].degraded
     assert srv.batches[0].requests
     assert len(srv.batches[0].requests) \
-        == cfg.max_batch // cfg.degrade_batch_divisor
+        == cfg.max_batch // DEGRADE_BATCH_DIVISOR
     assert srv.tally["degraded_dispatches"] == 1
