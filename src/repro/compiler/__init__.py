@@ -14,39 +14,28 @@ tie-break - the compiler's main lever on off-chip traffic.
 
 :func:`compile_program` (`repro.compiler.cache`) is the one-call pipeline
 entry - a fixed pipeline of hoisting, then pressure scheduling, behind an
-optional content-addressed compile cache that persists lowered schedules
-across calls and processes.  The full pipeline and artifact contract are documented in
-docs/COMPILER.md.
+optional content-addressed, in-memory compile cache.  The full pipeline
+and the fingerprint contract are documented in docs/COMPILER.md.
 
 Stability guarantees
 --------------------
 The compiler's output is deterministic: lowering the same
 :class:`~repro.ir.Program` for the same
-:class:`~repro.core.config.ChipConfig` always produces the identical op stream (no randomness, no wall-clock input,
-simulator-gated decisions included).  That determinism is load-bearing -
-it is what lets the compile cache substitute a deserialized artifact for
-a recompile bit-for-bit.  Code that would break it (hash-order
-iteration over ops, randomized tie-breaking) must not be introduced
-without bumping :data:`repro.compiler.cache.FORMAT_VERSION`.
+:class:`~repro.core.config.ChipConfig` always produces the identical op
+stream (no randomness, no wall-clock input, simulator-gated decisions
+included).  That determinism is load-bearing - it is what lets the
+compile cache substitute a stored schedule for a recompile
+bit-for-bit.  Code that would break it (hash-order iteration over ops,
+randomized tie-breaking) must not be introduced.
 
 Fingerprints (:func:`repro.compiler.cache.fingerprint`) are invariant
 under SSA value renames and hint/plaintext-id renames (names are
 canonicalized to first-appearance indices before hashing) and under
-``Program.name`` / ``ChipConfig.name`` changes; *every* other program,
-config, or pod-descriptor change invalidates them.  Any change to the
-canonicalization or to pass semantics that alters lowered output for an
-unchanged input requires a ``FORMAT_VERSION`` bump so stale artifacts
-are rejected rather than replayed.
+``Program.name`` / ``ChipConfig.name`` changes; *every* other program
+or config change invalidates them.
 """
 
-from repro.compiler.cache import (
-    FORMAT_VERSION,
-    CompileCache,
-    compile_program,
-    fingerprint,
-    load_artifact,
-    save_artifact,
-)
+from repro.compiler.cache import CompileCache, compile_program, fingerprint
 from repro.compiler.digits import digit_schedule
 from repro.compiler.dsl import FheBuilder, Value
 from repro.compiler.hoisting import hoist_rotations
@@ -64,15 +53,12 @@ from repro.compiler.placement import (
 )
 
 __all__ = [
-    "FORMAT_VERSION",
     "CompileCache",
     "FheBuilder",
     "Value",
     "compile_program",
     "digit_schedule",
     "fingerprint",
-    "load_artifact",
-    "save_artifact",
     "blocked_matvec",
     "matvec",
     "polynomial_activation",

@@ -52,9 +52,8 @@ automorphisms with nothing to share, so both are skipped.
 
 The pass is deterministic (groups follow stream order; the gate is a
 pure cost-model comparison), which the compile cache
-(`repro.compiler.cache`) relies on to substitute a stored artifact for
-a recompile; behavior changes here that alter output for an unchanged
-input require a ``FORMAT_VERSION`` bump (see docs/COMPILER.md).
+(`repro.compiler.cache`) relies on to substitute a stored schedule for
+a recompile.
 """
 
 from __future__ import annotations

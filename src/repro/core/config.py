@@ -152,7 +152,7 @@ class ChipConfig:
         lowered schedules, so `repro.compiler.cache.fingerprint` treats
         them as the same machine.  Every other field feeds the cost
         model, the simulator, or a pass gate and so invalidates cached
-        artifacts when changed.  See docs/COMPILER.md.
+        schedules when changed.  See docs/COMPILER.md.
         """
         key = asdict(self)
         del key["name"]

@@ -69,14 +69,3 @@ class PodConfig:
         """Link bandwidth in the chip's clock/word units (comparable to
         ``ChipConfig.hbm_words_per_cycle``)."""
         return self.link_gbps * 1e9 / chip.clock_hz / chip.bytes_per_word
-
-    def descriptor(self) -> str:
-        """Stable short form for cache fingerprints, e.g. ``"4xdata"``.
-
-        Only the fields that change a *lowered schedule* belong here:
-        chip count and strategy decide how a program is partitioned;
-        link bandwidth and latency only change simulated cost, and the
-        seed only backoff jitter and fault placement, never the emitted
-        ops.
-        """
-        return f"{self.chips}x{self.strategy}"

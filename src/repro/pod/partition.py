@@ -76,8 +76,8 @@ class Partition:
     shards: list[Shard]
     edges: list[CutEdge] = field(default_factory=list)
     # Stage SimResults from the min-cut gate's pricing runs, aligned
-    # with ``shards``; ``simulate_pod`` reuses them when no collector,
-    # cache, or checkpointing would change the outcome.
+    # with ``shards``; ``simulate_pod`` reuses them when neither a
+    # collector nor a compile cache would change the outcome.
     _gate_results: list | None = field(default=None, repr=False,
                                        compare=False)
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.compiler.cache import CompileCache, compile_program
 from repro.core.config import ChipConfig
 from repro.core.cost import ciphertext_words
 from repro.core.simulator import SimResult, simulate
@@ -105,7 +106,7 @@ def _output_words(program: Program) -> float:
 
 def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
                   alive: tuple[int, ...] | None = None,
-                  checkpoint_every: int = 0, cache=None) -> list[SimResult]:
+                  cache: CompileCache | None = None) -> list[SimResult]:
     """Simulate every model-parallel shard with its boundary transfers
     double-buffered: each shard's ``link_in`` / ``link_out`` rides a
     per-direction port as an *overlap* stream (hop-weighted per-edge
@@ -133,23 +134,17 @@ def stage_results(part: Partition, cfg: ChipConfig, pod: PodConfig,
             streams["link_out"] = (shard.cut_out_words,
                                    shard.cut_out_words / out_cycles[j], True)
         shard_prog = shard.program
-        if cache:
-            # Shard artifacts are namespaced by the pod descriptor: a
-            # cut of resnet20 for "4xmodel" must never alias the whole
-            # benchmark's artifact (or another cut's).
-            from repro.compiler.cache import compile_program
-
-            shard_prog = compile_program(
-                shard_prog, cfg, pod=f"{k}x{pod.strategy}", cache=cache)
+        if cache is not None:
+            shard_prog = compile_program(shard_prog, cfg, cache=cache)
         results.append(simulate(
-            shard_prog, cfg, checkpoint_every, streams=streams,
+            shard_prog, cfg, streams=streams,
             chip=alive[j] if alive is not None else j))
     return results
 
 
 def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
-                 failed_chips=(), checkpoint_every: int = 0,
-                 cache=None) -> PodResult:
+                 failed_chips=(),
+                 cache: CompileCache | None = None) -> PodResult:
     """Run ``program`` on a ``pod`` of ``cfg`` chips; see module docstring.
 
     ``failed_chips`` names fail-stopped chips; their work is carried by
@@ -184,10 +179,8 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
         streams = None
         if ar_words:
             streams = {"link": (ar_words, ar_words / ar_cycles, False)}
-        if cache:
+        if cache is not None:
             # Replicas run the whole program: lower it once for all.
-            from repro.compiler.cache import compile_program
-
             program = compile_program(program, cfg, cache=cache)
         chip_results: dict[int, SimResult] = {}
         shared: SimResult | None = None
@@ -197,8 +190,7 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
                 # no per-chip event stream to distinguish them.
                 chip_results[c] = shared
                 continue
-            shared = simulate(program, cfg, checkpoint_every,
-                              streams=streams, chip=c)
+            shared = simulate(program, cfg, streams=streams, chip=c)
             chip_results[c] = shared
         slowest = max(r.cycles for r in chip_results.values())
         result = PodResult(
@@ -212,12 +204,11 @@ def simulate_pod(program: Program, cfg: ChipConfig, pod: PodConfig,
     else:
         part = partition(program, cfg, pod, chips=k)
         # The min-cut gate already priced the winning partition through
-        # stage_results; reuse its runs when nothing (tracing, compile
-        # cache, checkpoint traffic) would change the outcome.
+        # stage_results; reuse its runs when nothing (tracing, shard
+        # lowering through a compile cache) would change the outcome.
         results = part._gate_results
-        if results is None or tr is not None or cache or checkpoint_every:
+        if results is None or tr is not None or cache is not None:
             results = stage_results(part, cfg, pod, alive=alive,
-                                    checkpoint_every=checkpoint_every,
                                     cache=cache)
         chip_results = {alive[j]: res for j, res in enumerate(results)}
         link_words = sum(e.words * e.hops for e in part.edges)

@@ -231,13 +231,13 @@ class DiskStore:
     keys, scalar bookkeeping in the sidecar.  Loading re-verifies every
     entry's seal, so on-disk corruption is detected, not decrypted.
 
-    Writes follow the payload-then-manifest discipline the compile cache
-    uses: both files land under temporary names and are atomically
-    renamed, payload first, manifest last.  The manifest's existence is
-    the commit point - a crash mid-checkpoint leaves either nothing or a
-    manifest-less payload, and :meth:`steps` counts the latter as a
-    *stale* checkpoint (``reliability.recovery.stale_checkpoints``)
-    instead of handing restore a torn ``.npz``.
+    Writes follow a payload-then-manifest discipline: both files land
+    under temporary names and are atomically renamed, payload first,
+    manifest last.  The manifest's existence is the commit point - a
+    crash mid-checkpoint leaves either nothing or a manifest-less
+    payload, and :meth:`steps` counts the latter as a *stale* checkpoint
+    (``reliability.recovery.stale_checkpoints``) instead of handing
+    restore a torn ``.npz``.
     """
 
     def __init__(self, directory, prefix: str = "ckpt"):

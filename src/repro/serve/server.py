@@ -32,7 +32,7 @@ the bounded request queue, the per-tenant circuit breakers and the
   count against any tenant's breaker.
 * **Accounting** is exact and virtual-clock-only: every batch's service
   time comes from the chip simulator (compiled once per (kind,
-  occupancy) through the PR 6 compile cache, then reused), per-phase
+  occupancy) through the server's compile cache, then reused), per-phase
   cycles from ``SimResult.tag_cycles``, and per-request chip seconds
   are the batch's share divided by occupancy.  The obs counters this
   module emits reconcile exactly against the server's own tallies -
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.cache import compile_program
+from repro.compiler.cache import CompileCache, compile_program
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
 from repro.obs import collector as obs
@@ -120,7 +120,8 @@ class Server:
     def __init__(self, cfg: ServeConfig | None = None,
                  clock: VirtualClock | None = None,
                  chip: ChipConfig | None = None,
-                 cache=True, fault_factory=None, pod=None):
+                 cache: CompileCache | None = None, fault_factory=None,
+                 pod=None):
         from repro.fhe.ckks import CkksContext, CkksParams
 
         self.cfg = cfg or ServeConfig()
@@ -133,7 +134,8 @@ class Server:
         # PR 7, bit-for-bit.
         self.pod = pod
         self._model_pod = pod is not None and pod.strategy == "model"
-        self.cache = cache          # compile-cache handle (PR 6 semantics)
+        # Lowered serving programs; callers may share one across servers.
+        self.cache = cache if cache is not None else CompileCache()
         # Hook for fault campaigns: fault_factory(batch_id, attempt,
         # steps) -> steps, free to wrap step fns and arm the injector.
         self.fault_factory = fault_factory
@@ -287,7 +289,7 @@ class Server:
                     res = simulate_pod(
                         prog, self.chip, self.pod,
                         failed_chips=tuple(sorted(self.pod_failed)),
-                        cache=self.cache or None)
+                        cache=self.cache)
                     tags: dict[str, float] = {}
                     for stage in res.chip_results.values():
                         for tag, cyc in stage.tag_cycles.items():

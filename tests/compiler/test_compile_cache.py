@@ -1,17 +1,13 @@
-"""The compiler/artifact contract: serialization, fingerprints, cache.
+"""The compile-cache contract: fingerprints and the in-memory LRU.
 
-Three layers of guarantees, in the order the cache depends on them:
+Two layers of guarantees, in the order the cache depends on them:
 
-1. Round-trip bit-exactness - a Program survives the columnar encoding
-   and the on-disk artifact format fieldwise (hypothesis-driven over
-   builder-generated programs, plus the hoisted/batched real thing).
-2. Fingerprint contract - invariant under SSA/hint/plaintext renames,
+1. Fingerprint contract - invariant under SSA/hint/plaintext renames,
    dict ordering, and display names; sensitive to every schedule-
-   relevant mutation of program or config, and to the pod descriptor.
-3. Cache behavior - LRU memory tier, persistent disk tier, corruption
-   of any artifact byte degrades to a counted miss (never an exception,
-   never a wrong schedule), and simulating a cache-hit schedule gives
-   bit-identical results to a fresh compile on the deep benchmarks.
+   relevant mutation of program or config.
+2. Cache behavior - a bounded LRU that snapshots what it stores, never
+   touches the filesystem, and whose hits simulate bit-identically to
+   a fresh compile on the deep benchmarks.
 
 docs/COMPILER.md's worked example is validated here too, so the doc
 cannot drift from the code.
@@ -19,7 +15,6 @@ cannot drift from the code.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import subprocess
@@ -27,21 +22,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.cache import (
-    FORMAT_VERSION,
+    MEMORY_ENTRIES,
     CompileCache,
     canonical_json,
     compile_program,
     fingerprint,
-    load_artifact,
-    program_from_arrays,
-    program_to_arrays,
-    save_artifact,
 )
 from repro.compiler.dsl import FheBuilder
 from repro.compiler.hoisting import hoist_rotations
@@ -50,7 +40,7 @@ from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
 from repro.ir import HomOp, Program
 from repro.obs import collector as obs
-from repro.reliability.errors import ArtifactError
+from repro.reliability.errors import ParameterError
 from repro.workloads import DEEP_BENCHMARKS, benchmark
 
 REPO = Path(__file__).resolve().parents[2]
@@ -100,7 +90,7 @@ def with_ops(program: Program, ops: list[HomOp]) -> Program:
 @st.composite
 def programs(draw) -> Program:
     """Valid programs via the DSL: random dags of add/rotate/pmult/mult
-    over a shared hint pool, so serialization sees hint sharing,
+    over a shared hint pool, so fingerprinting sees hint sharing,
     plaintexts, steps (positive and negative), and level drops."""
     b = FheBuilder(draw(st.sampled_from(["p", "prog-x"])),
                    degree=64, max_level=8)
@@ -127,19 +117,6 @@ def programs(draw) -> Program:
                 values.append(b.mult(a, other))
     b.output(draw(st.sampled_from(values)))
     return b.build()
-
-
-@settings(max_examples=50, deadline=None)
-@given(programs())
-def test_round_trip_is_bit_exact(program):
-    arrays = program_to_arrays(program)
-    meta = {"name": program.name, "degree": program.degree,
-            "max_level": program.max_level,
-            "description": program.description,
-            "op_count": len(program.ops)}
-    loaded = program_from_arrays(meta, arrays)
-    assert loaded == program  # dataclass fieldwise equality, ops included
-    assert fingerprint(loaded) == fingerprint(program)
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,10 +202,6 @@ def test_fingerprint_ignores_display_names_only():
 def test_fingerprint_sensitive_to_flags_and_ring_params():
     program = docs_example_program()
     base = fingerprint(program)
-    assert fingerprint(program, pod="4xmodel") != base
-    assert fingerprint(program, pod="4xmodel") != \
-        fingerprint(program, pod="2xmodel")
-    assert fingerprint(program, pod="") == base
     bigger = with_ops(program, list(program.ops))
     bigger.max_level = program.max_level + 1
     assert fingerprint(bigger) != base
@@ -236,69 +209,25 @@ def test_fingerprint_sensitive_to_flags_and_ring_params():
 
 def test_fingerprint_insensitive_to_dict_ordering():
     assert canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
-    nested = {"pod": "", "config": {"x": 1.5, "y": [1, 2]}}
-    shuffled = {"config": {"y": [1, 2], "x": 1.5}, "pod": ""}
+    nested = {"program_sha256": "", "config": {"x": 1.5, "y": [1, 2]}}
+    shuffled = {"config": {"y": [1, 2], "x": 1.5}, "program_sha256": ""}
     assert canonical_json(nested) == canonical_json(shuffled)
 
 
-# -- artifacts on disk ------------------------------------------------------
-
-def test_artifact_round_trip_and_deterministic_bytes(tmp_path):
-    program = compile_program(docs_example_program())
-    cfg = ChipConfig()
-    fp = fingerprint(program, cfg)
-    manifest = save_artifact(tmp_path / "a", program, fp, cfg)
-    loaded = load_artifact(tmp_path / "a", expect_fingerprint=fp)
-    assert loaded == program
-    # Re-serializing the identical compilation is byte-identical (no
-    # timestamps in the manifest; the seal covers array contents).
-    save_artifact(tmp_path / "b", program, fp, cfg)
-    assert manifest.read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def test_artifact_round_trips_hoisted_and_batched_ops(tmp_path):
-    # The real thing: a deep benchmark slice with hoist_modup /
-    # rotate_hoisted ops, shared hints, compact plaintexts, repeat>1.
-    program = hoist_rotations(benchmark("packed_bootstrap"), ChipConfig())
-    assert program.count("hoist_modup") > 0
-    fp = fingerprint(program)
-    save_artifact(tmp_path / "pb", program, fp, ChipConfig())
-    assert load_artifact(tmp_path / "pb", expect_fingerprint=fp) == program
-
-
-def test_artifact_version_skew_is_rejected(tmp_path):
-    program = docs_example_program()
-    fp = fingerprint(program)
-    base = tmp_path / "v"
-    save_artifact(base, program, fp, ChipConfig())
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    manifest["format"] = FORMAT_VERSION + 1
-    base.with_suffix(".json").write_text(json.dumps(manifest))
-    with pytest.raises(ArtifactError):
-        load_artifact(base)
-
-
-def test_artifact_wrong_fingerprint_is_rejected(tmp_path):
-    program = docs_example_program()
-    save_artifact(tmp_path / "f", program, "0" * 64, ChipConfig())
-    with pytest.raises(ArtifactError):
-        load_artifact(tmp_path / "f", expect_fingerprint="1" * 64)
-
-
-# -- the two-tier cache -----------------------------------------------------
+# -- the cache --------------------------------------------------------------
 
 def test_memory_tier_hit_miss_and_lru_eviction():
-    cache = CompileCache(memory_entries=2)
-    progs = {f"fp{i}": docs_example_program() for i in range(3)}
-    assert cache.get("fp0") is None
-    for fp, p in progs.items():
-        cache.put(fp, p)
-    # fp0 was evicted by fp2 (LRU, capacity 2)
-    assert cache.get("fp0") is None
-    assert cache.get("fp1") is not None
-    assert cache.get("fp2") is not None
-    assert cache.stats == {"hit": 2, "miss": 2, "store": 3, "evict": 1,
-                           "invalid": 0}
+    cache = CompileCache()
+    fps = [f"fp{i}" for i in range(MEMORY_ENTRIES + 1)]
+    assert cache.get(fps[0]) is None
+    for fp in fps:
+        cache.put(fp, docs_example_program())
+    # fp0 was evicted by the 17th store (LRU, capacity 16)
+    assert cache.get(fps[0]) is None
+    assert cache.get(fps[1]) is not None
+    assert cache.get(fps[-1]) is not None
+    assert cache.stats == {"hit": 2, "miss": 2,
+                           "store": MEMORY_ENTRIES + 1, "evict": 1}
 
 
 def test_put_snapshots_the_ops_list():
@@ -307,78 +236,6 @@ def test_put_snapshots_the_ops_list():
     cache.put("fp", program)
     program.ops.append(HomOp(kind="input", level=1, result="late"))
     assert len(cache.get("fp").ops) == len(program.ops) - 1
-
-
-def test_disk_tier_survives_process_restart(tmp_path):
-    program = compile_program(docs_example_program())
-    fp = fingerprint(program)
-    CompileCache(tmp_path).put(fp, program, ChipConfig())
-    fresh = CompileCache(tmp_path)  # a "new process"
-    hit = fresh.get(fp)
-    assert hit == program
-    assert fresh.stats["hit"] == 1
-    # and the loaded copy was promoted to the memory tier
-    assert fresh.get(fp) is hit
-
-
-@pytest.mark.parametrize("corruption", [
-    "truncate_npz", "bitflip_npz", "garbage_json", "missing_npz",
-    "empty_json",
-])
-def test_corrupt_artifact_degrades_to_counted_miss(tmp_path, corruption):
-    program = docs_example_program()
-    fp = fingerprint(program)
-    cache = CompileCache(tmp_path)
-    cache.put(fp, program, ChipConfig())
-    npz = tmp_path / f"{fp}.npz"
-    manifest = tmp_path / f"{fp}.json"
-    if corruption == "truncate_npz":
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-    elif corruption == "bitflip_npz":
-        raw = bytearray(npz.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        npz.write_bytes(bytes(raw))
-    elif corruption == "garbage_json":
-        manifest.write_text("{not json")
-    elif corruption == "missing_npz":
-        npz.unlink()
-    elif corruption == "empty_json":
-        manifest.write_text("")
-    cache._memory.clear()  # force the disk path
-    assert cache.get(fp) is None  # never an exception
-    assert cache.stats["invalid"] == 1
-    assert cache.stats["miss"] == 1
-    assert not manifest.exists() and not npz.exists()  # cleaned up
-    # and the slot is reusable: a re-store round-trips again
-    cache.put(fp, program, ChipConfig())
-    cache._memory.clear()
-    assert cache.get(fp) == program
-
-
-def test_disk_budget_evicts_oldest_artifact(tmp_path):
-    program = compile_program(docs_example_program())
-    cache = CompileCache(tmp_path, disk_bytes=1)  # fits nothing...
-    cache.put("a" * 64, program, ChipConfig())
-    # ...but the just-written artifact always survives (budget degrades
-    # capacity, not correctness).
-    assert (tmp_path / ("a" * 64 + ".json")).exists()
-    pair_bytes = sum(p.stat().st_size for p in tmp_path.iterdir())
-    cache = CompileCache(tmp_path, disk_bytes=int(pair_bytes * 2.5))
-    os.utime(tmp_path / ("a" * 64 + ".json"), times=(1, 1))  # oldest
-    cache.put("b" * 64, program, ChipConfig())
-    cache.put("c" * 64, program, ChipConfig())
-    assert not (tmp_path / ("a" * 64 + ".json")).exists()
-    assert not (tmp_path / ("a" * 64 + ".npz")).exists()
-    assert (tmp_path / ("c" * 64 + ".json")).exists()
-    assert cache.stats["evict"] >= 1
-
-
-def test_unwritable_directory_is_swallowed(tmp_path):
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")  # mkdir(parents=True) under a file -> OSError
-    cache = CompileCache(blocker / "cache")
-    cache.put("d" * 64, docs_example_program(), ChipConfig())  # no raise
-    assert cache.get("d" * 64) is not None  # memory tier still works
 
 
 def test_cache_counters_flow_through_obs():
@@ -390,7 +247,6 @@ def test_cache_counters_flow_through_obs():
     assert collector.counters["compiler.cache.miss"] == 1
     assert collector.counters["compiler.cache.store"] == 1
     assert collector.counters["compiler.cache.hit"] == 1
-    assert collector.counters["compiler.cache.hit.memory"] == 1
 
 
 # -- compile_program + simulate wiring --------------------------------------
@@ -404,8 +260,7 @@ def test_compile_program_matches_manual_pipeline():
     first = compile_program(program, cfg, cache=cache)
     again = compile_program(program, cfg, cache=cache)
     assert first == manual == again
-    assert cache.stats == {"hit": 1, "miss": 1, "store": 1, "evict": 0,
-                           "invalid": 0}
+    assert cache.stats == {"hit": 1, "miss": 1, "store": 1, "evict": 0}
 
 
 def test_cache_hit_keeps_caller_metadata():
@@ -428,14 +283,25 @@ def test_compile_spans_are_recorded():
     assert totals["compiler.cache.fingerprint"][0] == 1
 
 
-def test_cache_knob_accepts_a_directory_path(tmp_path):
-    from repro.compiler.cache import resolve_cache
+@pytest.mark.parametrize("cache", [True, False, "cache-dir", 123])
+def test_cache_argument_must_be_a_compile_cache(cache):
+    with pytest.raises(ParameterError):
+        compile_program(docs_example_program(), cache=cache)
 
-    compile_program(docs_example_program(), cache=str(tmp_path))
-    assert list(tmp_path.glob("*.json"))  # persisted under the given dir
-    assert resolve_cache(None) is None and resolve_cache(False) is None
-    with pytest.raises(ArtifactError):
-        resolve_cache(123)
+
+def test_serving_writes_nothing_under_home(tmp_path):
+    """A server warm-up compiles through the cache without writing any
+    file under ``$HOME``.  Runs in a fresh interpreter so no cache built
+    by an earlier test in this process can hide a write."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_CACHE_DIR", "XDG_CACHE_HOME")}
+    env.update(HOME=str(tmp_path), PYTHONPATH=str(REPO / "src"))
+    code = ("from repro.serve import Server, ServeConfig\n"
+            "Server(ServeConfig()).service_seconds('logreg', 1)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow
@@ -447,7 +313,7 @@ def test_cached_simulation_is_bit_identical(name):
     program = benchmark(name)
     cfg = ChipConfig()
     cache = CompileCache()
-    # miss: full pipeline; hit: deserialized ops
+    # miss: full pipeline; hit: the stored snapshot
     fresh = simulate(compile_program(program, cfg, cache=cache), cfg)
     cached = simulate(compile_program(program, cfg, cache=cache), cfg)
     assert cache.stats["hit"] == 1 and cache.stats["miss"] == 1

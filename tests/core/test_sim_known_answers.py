@@ -53,7 +53,7 @@ def _cases() -> dict:
     # lowered programs.
     cases["packed_bootstrap.hoisted"] = (
         lambda: simulate(compile_program(benchmark("packed_bootstrap"),
-                                         ChipConfig(), cache=False),
+                                         ChipConfig()),
                          ChipConfig()))
     return cases
 
