@@ -25,7 +25,7 @@ from repro.fhe.keyswitch import (
     generate_hint,
     standard_keyswitch,
 )
-from repro.fhe.hoisting import HoistedRotator, hoisted_rotations
+from repro.fhe.hoisting import HoistedRotator
 from repro.fhe.linear import LinearTransform, RealLinearTransform
 from repro.fhe.noise import NoiseBudget, budget_bits, measure_noise_bits
 from repro.fhe.ntt import NttContext
@@ -71,7 +71,6 @@ __all__ = [
     "generate_hint",
     "budget_bits",
     "hint_megabytes",
-    "hoisted_rotations",
     "measure_noise_bits",
     "is_prime",
     "max_log_q_for_security",

@@ -109,20 +109,6 @@ class HoistedRotator:
         return ctx.seal(Ciphertext(c0 + ks0, ks1, self.ct.scale))
 
 
-def hoisted_rotations(
-    ctx: CkksContext,
-    ct: Ciphertext,
-    plan: dict[int, KeySwitchHint],
-) -> dict[int, Ciphertext]:
-    """Rotate ``ct`` by every step in ``plan`` with one shared ModUp."""
-    if not plan:
-        return {}
-    alpha = next(iter(plan.values())).alpha
-    rotator = HoistedRotator(ctx, ct, alpha)
-    return {steps: rotator.rotate(steps, hint)
-            for steps, hint in plan.items()}
-
-
 def hoisting_savings(level: int, digits: int, rotations: int) -> float:
     """NTT-pass ratio: k separate rotations vs one hoisted group.
 

@@ -48,7 +48,7 @@ from repro.reliability.validate import validate_config, validate_program
 # repro.reliability`` stays light.
 _FAULTS_NAMES = ("CampaignResult", "FaultInjector", "injecting",
                  "run_campaign")
-_RECOVERY_NAMES = ("Checkpoint", "CiphertextSnapshot", "DiskStore",
+_RECOVERY_NAMES = ("Checkpoint", "CiphertextSnapshot",
                    "RecoveringExecutor", "RecoveryCampaignResult",
                    "RecoveryPolicy", "RecoveryStats", "RingBufferStore",
                    "run_recovery_campaign", "snapshot_ciphertext",
@@ -73,7 +73,6 @@ __all__ = [
     "CiphertextSnapshot",
     "ConfigError",
     "DEGRADE",
-    "DiskStore",
     "FaultDetectedError",
     "FaultInjector",
     "IntegrityConfig",

@@ -22,11 +22,11 @@ Three pieces:
   creation verifies each entry's seal first, so a corrupted ciphertext
   can never be enshrined as a rollback target; restoration re-verifies,
   so a checkpoint corrupted *at rest* is itself detected and skipped.
-* **Stores** (:class:`RingBufferStore`, :class:`DiskStore`) - where
-  checkpoints live: a bounded in-memory ring for long-running programs,
-  or ``.npz`` + JSON sidecar files for cross-process resume.
+* **The store** (:class:`RingBufferStore`) - where checkpoints live: a
+  bounded in-memory ring of the newest few.
 * **The executor** (:class:`RecoveryPolicy`, :class:`RecoveringExecutor`)
-  - runs a list of named steps over a dict of named ciphertexts,
+  - runs a list of named steps over a dict of named ciphertexts (built
+  from an IR program by :func:`repro.fhe.execute.program_steps`),
   checkpointing every ``checkpoint_every`` steps and recovering from
   ``FaultDetectedError`` per the policy.  Replay is deterministic: the
   homomorphic ops between checkpoints use no randomness, so a clean
@@ -43,12 +43,9 @@ measurable, not assumed.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -198,7 +195,7 @@ def checkpoint_cycles(ckpt: Checkpoint, cfg) -> float:
 
 
 class RingBufferStore:
-    """Last-``capacity`` checkpoints in memory; the long-running default."""
+    """The newest ``capacity`` checkpoints, in memory."""
 
     def __init__(self, capacity: int = 4):
         if capacity < 1:
@@ -221,110 +218,6 @@ class RingBufferStore:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-
-class DiskStore:
-    """Checkpoints as ``.npz`` files with a JSON metadata sidecar.
-
-    One file per checkpoint (``<prefix>_<step>.npz``): arrays under
-    ``<name>.c0`` / ``<name>.c1`` / ``<name>.sum0`` / ``<name>.sum1``
-    keys, scalar bookkeeping in the sidecar.  Loading re-verifies every
-    entry's seal, so on-disk corruption is detected, not decrypted.
-
-    Writes follow a payload-then-manifest discipline: both files land
-    under temporary names and are atomically renamed, payload first,
-    manifest last.  The manifest's existence is the commit point - a
-    crash mid-checkpoint leaves either nothing or a manifest-less
-    payload, and :meth:`steps` counts the latter as a *stale* checkpoint
-    (``reliability.recovery.stale_checkpoints``) instead of handing
-    restore a torn ``.npz``.
-    """
-
-    def __init__(self, directory, prefix: str = "ckpt"):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.prefix = prefix
-
-    def _path(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}_{step:06d}.npz"
-
-    def save(self, ckpt: Checkpoint) -> Path:
-        arrays = {}
-        meta: dict[str, object] = {"step": ckpt.step, "label": ckpt.label,
-                                   "cycles": ckpt.cycles, "entries": {}}
-        for name, snap in ckpt.entries.items():
-            arrays[f"{name}.c0"] = snap.data0
-            arrays[f"{name}.c1"] = snap.data1
-            arrays[f"{name}.sum0"] = snap.checksums0
-            arrays[f"{name}.sum1"] = snap.checksums1
-            meta["entries"][name] = {
-                "moduli": list(snap.moduli),
-                "domain0": snap.domain0, "domain1": snap.domain1,
-                "scale": snap.scale,
-                "budget_noise_bits": snap.budget_noise_bits,
-                "budget_sigma": snap.budget_sigma,
-                "budget_mod_bits": snap.budget_mod_bits,
-            }
-        path = self._path(ckpt.step)
-        manifest = path.with_suffix(".json")
-        tmp_npz = path.with_suffix(".npz.tmp")
-        tmp_json = manifest.with_suffix(".json.tmp")
-        with open(tmp_npz, "wb") as fh:  # np.savez would append ".npz"
-            np.savez(fh, **arrays)
-        os.replace(tmp_npz, path)
-        tmp_json.write_text(json.dumps(meta))
-        os.replace(tmp_json, manifest)
-        return path
-
-    def steps(self) -> list[int]:
-        """Committed checkpoint steps (payload *and* manifest present).
-
-        Payloads without a manifest are half-written casualties of a
-        crash; they are counted (not loaded, not deleted - post-mortems
-        may want them) and excluded, so recovery falls back to the
-        newest *complete* checkpoint.
-        """
-        complete = []
-        for p in self.directory.glob(f"{self.prefix}_*.npz"):
-            if p.with_suffix(".json").exists():
-                complete.append(int(p.stem[len(self.prefix) + 1:]))
-            else:
-                obs.count("reliability.recovery.stale_checkpoints")
-        return sorted(complete)
-
-    def load(self, step: int) -> Checkpoint:
-        path = self._path(step)
-        meta = json.loads(path.with_suffix(".json").read_text())
-        entries = {}
-        with np.load(path) as arrays:
-            for name, info in meta["entries"].items():
-                entries[name] = CiphertextSnapshot(
-                    moduli=tuple(info["moduli"]),
-                    data0=arrays[f"{name}.c0"],
-                    data1=arrays[f"{name}.c1"],
-                    domain0=info["domain0"], domain1=info["domain1"],
-                    scale=info["scale"],
-                    budget_noise_bits=info["budget_noise_bits"],
-                    budget_sigma=info["budget_sigma"],
-                    budget_mod_bits=info["budget_mod_bits"],
-                    checksums0=arrays[f"{name}.sum0"],
-                    checksums1=arrays[f"{name}.sum1"],
-                )
-        return Checkpoint(step=meta["step"], entries=entries,
-                          label=meta["label"], cycles=meta["cycles"])
-
-    def latest(self) -> Checkpoint | None:
-        steps = self.steps()
-        return self.load(steps[-1]) if steps else None
-
-    def drop_latest(self) -> Checkpoint | None:
-        steps = self.steps()
-        if not steps:
-            return None
-        ckpt = self.load(steps[-1])
-        self._path(steps[-1]).unlink()
-        self._path(steps[-1]).with_suffix(".json").unlink()
-        return ckpt
 
 
 # -- recovery policy and executor --------------------------------------------
@@ -668,37 +561,29 @@ class RecoveryCampaignResult:
         return "\n".join(lines)
 
 
-def _campaign_steps(rot_hint, ops_per_run: int):
+def _campaign_program(degree: int, level: int, ops_per_run: int):
     """Deterministic level-preserving program: alternate rotate and add.
 
     Rotations hit every detector boundary (operand verify, hint load,
     NTT checksums, the eviction sweep); adds are the quiet stretches
     where corruption can sit undetected until the next boundary -
-    exactly the checkpoint-latency case recovery has to handle.
+    exactly the checkpoint-latency case recovery has to handle.  Both
+    ``acc`` and the quiet resident ``base`` are outputs, so both stay
+    in the state to the output commit.
     """
-    def rot(ctx, state):
-        state["acc"] = ctx.rotate(state["acc"], 1, rot_hint)
-
-    def add(ctx, state):
-        state["acc"] = ctx.add(state["acc"], state["base"])
-
-    return [(f"rot{i}" if i % 2 == 0 else f"add{i}", rot if i % 2 == 0
-             else add) for i in range(ops_per_run)]
-
-
-def _step_cycle_costs(steps, degree: int, level: int, cfg) -> list[float]:
-    """Price each campaign step with the core cycle model."""
     from repro import ir
-    from repro.core.cost import op_cost
 
-    costs = []
-    for name, _ in steps:
-        kind = ir.ROTATE if name.startswith("rot") else ir.ADD
-        op = ir.HomOp(kind=kind, level=level, result="t",
-                      operands=("a",) if kind == ir.ROTATE else ("a", "b"),
-                      hint_id="h" if kind == ir.ROTATE else None)
-        costs.append(op_cost(cfg, op, degree).compute_cycles(cfg))
-    return costs
+    rotate = ir.HomOp(kind=ir.ROTATE, level=level, result="acc",
+                      operands=("acc",), hint_id="rot1", steps=1)
+    add = ir.HomOp(kind=ir.ADD, level=level, result="acc",
+                   operands=("acc", "base"))
+    names = ("acc", "base")
+    ops = [ir.HomOp(kind=ir.INPUT, level=level, result=n) for n in names]
+    ops += [add if i % 2 else rotate for i in range(ops_per_run)]
+    ops += [ir.HomOp(kind=ir.OUTPUT, level=level, result=f"out_{n}",
+                     operands=(n,)) for n in names]
+    return ir.Program(name="recovery-campaign", degree=degree,
+                      max_level=level, ops=ops)
 
 
 def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
@@ -721,8 +606,10 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     uncorrupted runs (zero detections, bit-identical output, only
     checkpoint overhead).  Everything flows from ``seed``.
     """
+    from repro import ir
     from repro.core.config import ChipConfig
     from repro.fhe.ckks import CkksContext, CkksParams
+    from repro.fhe.execute import program_steps
     from repro.reliability import faults as _faults
     from repro.reliability import guards
 
@@ -749,8 +636,9 @@ def run_recovery_campaign(seed: int = 2022, faults: int = 1000,
     master = take_checkpoint(ctx, {"acc": acc, "base": base}, 0,
                              label="trial-start")
 
-    steps = _campaign_steps(rot_hint, ops_per_run)
-    step_cycles = _step_cycle_costs(steps, degree, max_level, cfg)
+    steps, step_cycles = program_steps(
+        _campaign_program(degree, max_level, ops_per_run), cfg,
+        {1: rot_hint}, starts=lambda op: op.kind not in (ir.INPUT, ir.OUTPUT))
     base_cycles = sum(step_cycles)
     policy = policy or RecoveryPolicy(checkpoint_every=checkpoint_every)
 

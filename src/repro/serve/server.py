@@ -21,7 +21,9 @@ the bounded request queue, the per-tenant circuit breakers and the
   Smaller batches genuinely cost less in-model (the weight plaintexts
   stream per occupied block), so latency flattens while throughput
   dips - and only when that is not enough does admission shed.
-* **Execution** runs the batch's functional CKKS steps under a
+* **Execution** runs the batch's functional CKKS steps - the same IR
+  program the simulator prices, cut into steps by
+  :func:`repro.fhe.execute.program_steps` - under a
   :class:`~repro.reliability.recovery.RecoveringExecutor` with the full
   PR 2/3 detection stack armed (hint verify, NTT checksums, the RF
   eviction sweep).  Transient chip faults are absorbed by checkpoint
@@ -46,6 +48,9 @@ import numpy as np
 from repro.compiler.cache import CompileCache, compile_program
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
+from repro.fhe.ckks import CkksContext, CkksParams
+from repro.fhe.execute import program_steps
+from repro.ir import INPUT
 from repro.obs import collector as obs
 from repro.reliability import guards
 from repro.reliability.errors import (
@@ -92,12 +97,11 @@ from repro.serve.request import (
     Response,
 )
 from repro.workloads.serving import (
-    build_steps,
     check_kind,
     rotation_strides,
+    serving_plaintexts,
     serving_program,
     serving_weights,
-    step_cycle_costs,
 )
 
 
@@ -122,8 +126,6 @@ class Server:
                  chip: ChipConfig | None = None,
                  cache: CompileCache | None = None, fault_factory=None,
                  pod=None):
-        from repro.fhe.ckks import CkksContext, CkksParams
-
         self.cfg = cfg or ServeConfig()
         self.clock = clock or VirtualClock()
         self.chip = chip or ChipConfig()
@@ -155,8 +157,7 @@ class Server:
         self.weights = serving_weights(c.seed + 1, c.slots, c.block_slots)
         self.packer = SlotPacker(c.slots, c.block_slots, c.max_batch,
                                  c.payload_limit)
-        self._steps = {}            # kind -> functional step list
-        self._step_cycles = {}      # kind -> per-step cycle prices
+        self._steps = {}            # kind -> (steps, per-step cycles)
         self._service = {}          # (kind, occupancy) -> (seconds, tags)
 
         # -- serving state -------------------------------------------------
@@ -257,12 +258,19 @@ class Server:
         self._count(f"shed.{reason}")
 
     def _steps_for(self, kind: str):
+        """The kind's serving program as (steps, per-step cycles), at
+        ``blocks=1``: ``repeat`` only prices the per-block weight
+        streams, so the functional program is the same at any occupancy.
+        Its input is ``"x"``; ``"base"`` is a resident it never touches.
+        """
         if kind not in self._steps:
-            steps = build_steps(self.ctx, self.hints, self.weights, kind,
-                                self.cfg.block_slots)
-            self._steps[kind] = steps
-            self._step_cycles[kind] = step_cycle_costs(
-                steps, self.cfg.degree, self.cfg.max_level, self.chip)
+            c = self.cfg
+            prog = serving_program(kind, c.degree, c.max_level,
+                                   c.block_slots, 1)
+            bind = {op.result: "x" for op in prog.ops if op.kind == INPUT}
+            self._steps[kind] = program_steps(
+                prog, self.chip, self.hints,
+                serving_plaintexts(self.weights), bind=bind)
         return self._steps[kind]
 
     def service_seconds(self, kind: str, occupancy: int) -> float:
@@ -485,7 +493,7 @@ class Server:
         record.cache_hit = (kind, occupancy) in self._service
         service_s = self.service_seconds(kind, occupancy)
         steady_s = self.throughput_seconds(kind, occupancy)
-        steps = self._steps_for(kind)
+        steps, step_cycles = self._steps_for(kind)
 
         vec, layout = self.packer.pack(batch)
         master = self.ctx.encrypt_values(self.sk, vec)
@@ -507,13 +515,14 @@ class Server:
             duration += service_s
             occupancy_s += steady_s
             try:
-                state, stats = self._run_attempt(run_steps, kind, master)
+                state, stats = self._run_attempt(run_steps, step_cycles,
+                                                 master)
                 faults_recovered += stats.detections
                 overhead = self._overhead_s(stats)
                 duration += overhead
                 occupancy_s += overhead
                 if c.verify_responses \
-                        and not self._verify(state, kind, master):
+                        and not self._verify(state, steps, master):
                     # A fault slipped past every in-executor detector
                     # (e.g. a limb flip right before a pmult, whose
                     # fresh reseal launders the corruption).  The clean
@@ -596,7 +605,7 @@ class Server:
                 batch_id=record.batch_id, batch_occupancy=occupancy,
                 chip_seconds=occupancy_s / occupancy))
 
-    def _run_attempt(self, run_steps, kind: str, master):
+    def _run_attempt(self, run_steps, step_cycles, master):
         """One executor run from the batch's master ciphertext."""
         policy = RecoveryPolicy(checkpoint_every=CHECKPOINT_EVERY,
                                 max_retries=EXECUTOR_RETRIES,
@@ -604,7 +613,7 @@ class Server:
         pauses: list[float] = []
         exe = RecoveringExecutor(
             self.ctx, policy, store=RingBufferStore(4), cfg=self.chip,
-            step_cycles=self._step_cycles[kind],
+            step_cycles=step_cycles,
             sleep=pauses.append,  # virtual: charged to batch duration
             rng=self._rng)
 
@@ -625,7 +634,7 @@ class Server:
         return (stats.overhead_cycles / self.chip.clock_hz
                 + stats.backoff_seconds)
 
-    def _verify(self, state, kind: str, master) -> bool:
+    def _verify(self, state, steps, master) -> bool:
         """Clean replay from the master ciphertext, compared bit-exactly.
 
         The recovery contract says a replayed program is bit-identical
@@ -633,12 +642,11 @@ class Server:
         that - the campaign's zero-wrong-answers check.
         """
         exe = RecoveringExecutor(
-            self.ctx, RecoveryPolicy(checkpoint_every=len(self._steps[kind])
-                                     + 1),
+            self.ctx, RecoveryPolicy(checkpoint_every=len(steps) + 1),
             store=RingBufferStore(2), cfg=self.chip)
         clean = {"x": master.copy(), "base": master.copy()}
         with obs.paused():
-            clean, _ = exe.run(self._steps[kind], clean)
+            clean, _ = exe.run(steps, clean)
         got, want = state["x"], clean["x"]
         return (np.array_equal(got.c0.data, want.c0.data)
                 and np.array_equal(got.c1.data, want.c1.data))

@@ -19,17 +19,13 @@ runs one of two workload kinds over the shared vector:
   reduction would sum stage-one values whose windows leak neighbouring
   tenants' data into the readout.
 
-Both kinds exist twice, deliberately in lock-step:
-
-* :func:`serving_program` emits the IR stream (tagged phases:
-  pack/score/reduce/mask/score2/reduce2/emit) that the chip simulator
-  prices - parameterized by ``blocks`` (occupancy) because the weight
-  plaintexts stream per occupied block, so fuller batches genuinely
-  cost more HBM traffic;
-* :func:`build_steps` returns the *functional* CKKS step list a
-  :class:`~repro.reliability.recovery.RecoveringExecutor` runs, so
-  injected faults hit real limbs/NTTs/hints and recovery replays real
-  homomorphic state.
+:func:`serving_program` emits each kind as one tagged IR stream
+(phases pack/score/reduce/mask/score2/reduce2/emit).  The chip
+simulator prices it at the batch's occupancy (``blocks``: the weight
+plaintexts stream per occupied block, so fuller batches genuinely cost
+more HBM traffic), and the server runs the same stream at ``blocks=1``
+through :func:`repro.fhe.execute.program_steps`, so injected faults hit
+real limbs/NTTs/hints and recovery replays real homomorphic state.
 
 :func:`slot_reference` is the numpy mirror of the slot arithmetic, used
 by tests to bound the decrypted answers (approximately - CKKS is
@@ -41,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler.dsl import FheBuilder
-from repro.ir import ADD, PMULT, ROTATE, HomOp, Program
+from repro.ir import Program
 from repro.reliability.errors import ParameterError
 
 SERVE_KINDS = ("logreg", "lstm")
@@ -88,6 +84,11 @@ def serving_weights(seed: int, slots: int, block: int) -> dict[str, np.ndarray]:
     return {"w1": w1, "w2": w2, "mask": mask}
 
 
+def serving_plaintexts(weights: dict) -> dict[str, np.ndarray]:
+    """The weights under the plaintext ids :func:`serving_program` uses."""
+    return {f"srv/{name}": values for name, values in weights.items()}
+
+
 def slot_reference(kind: str, vector: np.ndarray, weights: dict,
                    block: int) -> np.ndarray:
     """Numpy mirror of the packed slot arithmetic (full slot vector)."""
@@ -101,10 +102,6 @@ def slot_reference(kind: str, vector: np.ndarray, weights: dict,
         for s in rotation_strides(block):
             v = v + np.roll(v, -s)
     return v
-
-
-def readout_slot(block_index: int, block: int) -> int:
-    return block_index * block
 
 
 # -- the IR program the chip simulator prices ---------------------------------
@@ -146,63 +143,3 @@ def serving_program(kind: str, degree: int, max_level: int, block: int,
     b.phase("emit")
     b.output(x)
     return b.build()
-
-
-# -- the functional step list the RecoveringExecutor runs ---------------------
-
-
-def build_steps(ctx, hints: dict[int, object], weights: dict,
-                kind: str, block: int):
-    """(name, fn) steps over state ``{"x": working, "base": resident}``.
-
-    ``base`` (the encrypted packed input) is never consumed after step
-    zero - it is the quiet register-file resident the ``rf`` fault site
-    corrupts, detected by the keyswitch boundary sweep.  All steps are
-    pure homomorphic ops (no randomness), so executor replay is
-    bit-deterministic.
-    """
-    check_kind(kind)
-    strides = rotation_strides(block)
-
-    def pmult_step(values):
-        def fn(ctx_, state):
-            state["x"] = ctx_.pmult(state["x"], values)
-        return fn
-
-    def reduce_step(s):
-        def fn(ctx_, state):
-            state["x"] = ctx_.add(state["x"],
-                                  ctx_.rotate(state["x"], s, hints[s]))
-        return fn
-
-    steps = [("score/w1", pmult_step(weights["w1"]))]
-    steps += [(f"reduce/rot{s}", reduce_step(s)) for s in strides]
-    if kind == "lstm":
-        steps.append(("mask", pmult_step(weights["mask"])))
-        steps.append(("score2/w2", pmult_step(weights["w2"])))
-        steps += [(f"reduce2/rot{s}", reduce_step(s)) for s in strides]
-    return steps
-
-
-def step_cycle_costs(steps, degree: int, start_level: int, cfg) -> list[float]:
-    """Price each functional step with the core cycle model, so executor
-    replay overhead lands in the same units as the compiled schedule."""
-    from repro.core.cost import op_cost
-
-    costs = []
-    level = start_level
-    for name, _ in steps:
-        if name.startswith(("score", "mask")):
-            op = HomOp(kind=PMULT, level=level, result="t",
-                       operands=("a",), plaintext_id="w")
-            cycles = op_cost(cfg, op, degree).compute_cycles(cfg)
-            level = max(1, level - 1)  # the pmult's rescale
-        else:
-            rot = HomOp(kind=ROTATE, level=level, result="t",
-                        operands=("a",), hint_id="h")
-            add = HomOp(kind=ADD, level=level, result="t",
-                        operands=("a", "b"))
-            cycles = (op_cost(cfg, rot, degree).compute_cycles(cfg)
-                      + op_cost(cfg, add, degree).compute_cycles(cfg))
-        costs.append(cycles)
-    return costs

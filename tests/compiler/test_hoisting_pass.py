@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.compiler import FheBuilder, hoist_rotations, order_for_pressure
 from repro.core.config import ChipConfig
 from repro.core.simulator import simulate
-from repro.fhe.hoisting import HoistedRotator
+from repro.fhe.execute import execute
 from repro.ir import (
     ADD,
     HOIST_MODUP,
@@ -82,37 +82,18 @@ def _build_program(groups: list[list[int]], hint_pool: int = 0) -> Program:
     return b.build()
 
 
-def _execute(program: Program, fhe, ct) -> list[np.ndarray]:
-    """Interpret a Program against the CKKS layer; returns decrypted
-    outputs.  Rotation amounts come from the explicit ``op.steps`` field,
-    never from hint names: hint ids are reuse handles that workloads
-    share across different amounts, so parsing them would make the
-    harness blind to exactly the miscompilation it exists to catch."""
-    ctx, sk = fhe.ctx, fhe.sk
-    env: dict[str, object] = {}
-    rotators: dict[str, HoistedRotator] = {}
-    outputs: list[np.ndarray] = []
-    for op in program.ops:
-        if op.kind == INPUT:
-            env[op.result] = ct
-        elif op.kind == ADD:
-            env[op.result] = ctx.add(env[op.operands[0]], env[op.operands[1]])
-        elif op.kind == ROTATE:
-            assert op.steps is not None, f"rotate {op.result} lost its steps"
-            env[op.result] = ctx.rotate(env[op.operands[0]], op.steps,
-                                        _hint(fhe, op.steps))
-        elif op.kind == HOIST_MODUP:
-            rotators[op.result] = HoistedRotator(
-                ctx, env[op.operands[0]], alpha=ctx.params.alpha)
-        elif op.kind == ROTATE_HOISTED:
-            assert op.steps is not None, f"rotate {op.result} lost its steps"
-            env[op.result] = rotators[op.operands[0]].rotate(
-                op.steps, _hint(fhe, op.steps))
-        elif op.kind == OUTPUT:
-            outputs.append(ctx.decrypt(sk, env[op.operands[0]]))
-        else:  # pragma: no cover - generator only emits the kinds above
-            raise AssertionError(f"unexpected op kind {op.kind}")
-    return outputs
+def _decrypted_outputs(program: Program, fhe, ct) -> list[np.ndarray]:
+    """Run a Program on the CKKS layer through `repro.fhe.execute`;
+    returns the decrypted outputs.  The executor takes rotation amounts
+    from ``op.steps``, never from hint names: hint ids are reuse handles
+    that workloads share across different amounts, so parsing them would
+    make the harness blind to exactly the miscompilation it exists to
+    catch."""
+    inputs = {op.result: ct for op in program.ops if op.kind == INPUT}
+    keys = {op.steps: _hint(fhe, op.steps) for op in program.ops
+            if op.steps is not None}
+    outputs = execute(program, fhe.ctx, inputs, keys)
+    return [fhe.ctx.decrypt(fhe.sk, out) for out in outputs.values()]
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,8 +110,8 @@ def test_hoisted_program_is_bit_exact_and_never_slower(fhe, groups,
         assert any(op.kind == HOIST_MODUP for op in hoisted.ops)
 
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(77))
-    want = _execute(program, fhe, ct)
-    got = _execute(hoisted, fhe, ct)
+    want = _decrypted_outputs(program, fhe, ct)
+    got = _decrypted_outputs(hoisted, fhe, ct)
     assert len(got) == len(want)
     for w, g in zip(want, got):
         # Bit-exact, not approximately equal: phi_k commutes with the
@@ -206,8 +187,8 @@ def test_shared_hint_across_amounts_is_not_merged(fhe):
     assert all(p.repeat == 1 for p in probes)
 
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(31))
-    want = _execute(program, fhe, ct)
-    got = _execute(hoisted, fhe, ct)
+    want = _decrypted_outputs(program, fhe, ct)
+    got = _decrypted_outputs(hoisted, fhe, ct)
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
@@ -262,8 +243,8 @@ def test_dropped_member_as_later_group_source_is_renamed(fhe):
                 assert operand in produced, f"dangling operand {operand}"
 
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(13))
-    want = _execute(program, fhe, ct)
-    got = _execute(hoisted, fhe, ct)
+    want = _decrypted_outputs(program, fhe, ct)
+    got = _decrypted_outputs(hoisted, fhe, ct)
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)

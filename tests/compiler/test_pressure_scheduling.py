@@ -22,7 +22,7 @@ from repro.core.simulator import simulate
 from repro.obs import collector as obs
 from repro.reliability.validate import validate_program
 from repro.workloads import benchmark
-from tests.compiler.test_hoisting_pass import _build_program, _execute
+from tests.compiler.test_hoisting_pass import _build_program, _decrypted_outputs
 
 _CFG = ChipConfig()
 
@@ -70,8 +70,8 @@ def test_pressure_ordering_is_bit_exact_and_never_slower(fhe, groups,
     validate_program(ordered, _CFG)
 
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(55))
-    want = _execute(program, fhe, ct)
-    got = _execute(ordered, fhe, ct)
+    want = _decrypted_outputs(program, fhe, ct)
+    got = _decrypted_outputs(ordered, fhe, ct)
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)

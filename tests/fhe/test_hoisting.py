@@ -11,7 +11,9 @@ from repro.core.cost import (
     hoist_modup_cost,
     hoisted_rotate_keyswitch_cost,
 )
-from repro.fhe.hoisting import HoistedRotator, hoisted_rotations, hoisting_savings
+from repro.fhe.execute import execute
+from repro.fhe.hoisting import HoistedRotator, hoisting_savings
+from repro.ir import HOIST_MODUP, INPUT, OUTPUT, ROTATE_HOISTED, HomOp, Program
 from repro.reliability.errors import ParameterError
 
 
@@ -20,8 +22,9 @@ def test_hoisted_rotation_matches_plain(fhe):
     z = fhe.random_values(31)
     ct = ctx.encrypt_values(sk, z)
     plan = {s: ctx.rotation_hint(sk, s) for s in (1, 3, 7)}
-    outs = hoisted_rotations(ctx, ct, plan)
-    for steps, out in outs.items():
+    rotator = HoistedRotator(ctx, ct, alpha=ctx.params.alpha)
+    for steps, hint in plan.items():
+        out = rotator.rotate(steps, hint)
         want = np.roll(z, -steps)
         got = ctx.decrypt(sk, out)
         assert np.max(np.abs(got - want)) < 1e-3, steps
@@ -31,8 +34,21 @@ def test_hoisted_rotation_matches_plain(fhe):
 
 
 def test_hoisting_empty_plan(fhe):
+    # A hoisted ModUp with an empty rotation plan emits nothing; with
+    # one rotation it emits exactly that rotation.
     ct = fhe.ctx.encrypt_values(fhe.sk, fhe.random_values(32))
-    assert hoisted_rotations(fhe.ctx, ct, {}) == {}
+    ops = [HomOp(kind=INPUT, level=6, result="x"),
+           HomOp(kind=HOIST_MODUP, level=6, result="up", operands=("x",))]
+    program = Program(name="empty-plan", degree=512, max_level=6, ops=ops)
+    assert execute(program, fhe.ctx, {"x": ct}) == {}
+    program.ops += [
+        HomOp(kind=ROTATE_HOISTED, level=6, result="r", operands=("up", "x"),
+              hint_id="rot1", steps=1),
+        HomOp(kind=OUTPUT, level=6, result="out", operands=("r",))]
+    out = execute(program, fhe.ctx, {"x": ct}, {1: fhe.rot1})["r"]
+    want = fhe.ctx.rotate(ct, 1, fhe.rot1)
+    assert np.array_equal(out.c0.data, want.c0.data)
+    assert np.array_equal(out.c1.data, want.c1.data)
 
 
 def test_hoisted_rotator_reuses_decomposition(fhe):

@@ -1,15 +1,12 @@
 """Property test: checkpoint save -> load -> resume is exact.
 
 Across random seeds and levels, resuming a program from a checkpoint
-(through either store) must yield ciphertexts bit-identical to the
+(through the in-memory store) must yield ciphertexts bit-identical to the
 uninterrupted run, and checkpointed simulation must price the same
 program to identical cycle counts every time.  This is the determinism
 contract :class:`repro.reliability.recovery.RecoveringExecutor` relies
 on when it promises replayed results match fault-free execution.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +18,7 @@ from repro.core.simulator import simulate
 from repro.fhe.ckks import CkksContext, CkksParams
 from repro.reliability import guards
 from repro.reliability.recovery import (
-    DiskStore,
+    RingBufferStore,
     restore_checkpoint,
     take_checkpoint,
 )
@@ -74,12 +71,14 @@ def test_checkpoint_save_load_resume_is_bit_exact(seed, max_level, split):
     # Uninterrupted reference run.
     ref = _run_steps(ctx, rot, fresh_state(), 0, total)["acc"]
 
-    # Interrupted run: execute to `split`, checkpoint to disk, reload in
-    # a fresh store instance (as a restarted process would), resume.
+    # Interrupted run: execute to `split`, checkpoint into the store,
+    # drop the live state (as a rollback would), resume from the
+    # restored snapshot.
     state = _run_steps(ctx, rot, fresh_state(), 0, split)
-    with tempfile.TemporaryDirectory() as tmp:
-        DiskStore(tmp).save(take_checkpoint(ctx, state, split))
-        loaded = DiskStore(tmp).load(split)
+    store = RingBufferStore()
+    store.save(take_checkpoint(ctx, state, split))
+    del state
+    loaded = store.latest()
     assert loaded.step == split
     resumed = _run_steps(ctx, rot, restore_checkpoint(loaded),
                          loaded.step, total)["acc"]
@@ -120,42 +119,3 @@ def test_checkpointed_simulation_cycles_deterministic(seed, level, every):
     plain = simulate(prog, cfg)
     assert first.cycles >= plain.cycles
     assert "ckpt" in first.traffic_words and "ckpt" not in plain.traffic_words
-
-
-def test_disk_store_torn_write_degrades_to_stale_checkpoint():
-    """Crash-mid-checkpoint regression: a payload without its manifest
-    (the write order guarantees this is the only torn shape) is counted
-    stale and recovery falls back to the newest *complete* checkpoint."""
-    from repro.obs import collector as obs
-
-    ctx, sk, rot = _context(3)
-    rng = np.random.default_rng(7)
-    state = {"acc": ctx.encrypt_values(
-        sk, 0.5 * rng.standard_normal(ctx.params.slots))}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = DiskStore(tmp)
-        store.save(take_checkpoint(ctx, state, 1))
-        store.save(take_checkpoint(ctx, state, 2))
-        # No temporary files survive a completed save.
-        leftovers = [p.name for p in Path(tmp).iterdir()
-                     if p.suffix == ".tmp"]
-        assert leftovers == []
-        assert store.steps() == [1, 2]
-
-        # Simulate the crash window: payload committed, manifest not.
-        store._path(2).with_suffix(".json").unlink()
-        with obs.collecting() as c:
-            assert store.steps() == [1]
-            fallback = store.latest()
-        assert c.counters["reliability.recovery.stale_checkpoints"] >= 1
-        assert fallback is not None and fallback.step == 1
-        # The stale payload is kept for post-mortems, never loaded.
-        assert store._path(2).exists()
-
-        # The torn payload half is also tolerated: manifest alone next.
-        store._path(2).unlink()
-        store.save(take_checkpoint(ctx, state, 2))
-        assert store.steps() == [1, 2]
-        restored = restore_checkpoint(store.load(2))
-        assert np.array_equal(restored["acc"].c0.data,
-                              state["acc"].c0.data)
