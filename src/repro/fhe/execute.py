@@ -152,6 +152,17 @@ def execute(program: ir.Program, ctx, inputs: dict, keys=None,
     return outputs
 
 
+def output_keys(program: ir.Program,
+                bind: dict[str, str] | None = None) -> dict[str, str]:
+    """Where :func:`program_steps` leaves each value an ``OUTPUT`` emits:
+    value name -> its state key once the steps have run.  A value is not
+    always under its own name, since a result takes over the key of an
+    operand that dies at its op."""
+    return {ins.ops[0].operands[0]: ins.out
+            for ins in _lower(program.ops, bind or {})
+            if ins.ops[0].kind == ir.OUTPUT}
+
+
 def loads_operand(op: ir.HomOp) -> bool:
     """The default step start: an op that fetches a hint or plaintext."""
     return op.hint_id is not None or op.plaintext_id is not None
@@ -164,7 +175,9 @@ def program_steps(program: ir.Program, cfg, keys=None, plaintexts=None, *,
     runs its ops in place on the state dict.
 
     A step begins at every op ``starts`` selects (a fused RESCALE stays
-    with its PMULT); earlier ops join the first step.  It is named
+    with its PMULT); earlier ops join the first step, and no step begins
+    while a ``HOIST_MODUP``'s raised digits are live, so every step
+    boundary holds only ciphertexts a checkpoint can seal.  It is named
     ``tag/handle`` after that op, the handle being the last path segment
     of its plaintext or hint id, else its kind (just one of the two when
     the other is empty or the same).  ``bind`` maps ``INPUT`` names to
@@ -172,13 +185,18 @@ def program_steps(program: ir.Program, cfg, keys=None, plaintexts=None, *,
     the sum of its ops' compute cycles on ``cfg``.
     """
     groups = []  # [op that begins the step, its instructions]
+    raised: set[str] = set()  # state keys holding a HoistedRotator
     for ins in _lower(program.ops, bind or {}):
         op = ins.ops[0]
-        if not groups or starts(op) and starts(groups[-1][0]):
+        if not groups or starts(op) and starts(groups[-1][0]) \
+                and not raised:
             groups.append([op, []])
-        elif starts(op):
+        elif starts(op) and not starts(groups[-1][0]):
             groups[-1][0] = op
         groups[-1][1].append(ins)
+        raised.difference_update((*ins.drop, ins.out))
+        if op.kind == ir.HOIST_MODUP:
+            raised.add(ins.out)
 
     def step(instrs):
         def fn(ctx, state):

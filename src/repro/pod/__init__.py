@@ -9,8 +9,8 @@ more.  This package layers a pod over the single-chip stack:
 * :mod:`repro.pod.interconnect` - link/transfer/all-reduce cost model;
 * :mod:`repro.pod.simulator` - per-chip cycle simulation with link
   streams, degraded N-1 repartitioning, and pod-level throughput;
-* :mod:`repro.pod.coordinator` - functional (real CKKS) lock-step
-  execution surviving chip fail-stop and link corruption;
+* :mod:`repro.pod.coordinator` - functional (real CKKS) execution of
+  a partition, surviving chip fail-stop and link corruption;
 * :mod:`repro.pod.campaign` - the seeded chip/link fault campaign
   (``python -m repro.pod --campaign``);
 * :mod:`repro.pod.scaling` - the 1/2/4/8-chip throughput study.
@@ -24,7 +24,7 @@ from repro.pod.config import (
     STRATEGIES,
     PodConfig,
 )
-from repro.pod.coordinator import PodExecutor, PodStats, Transfer
+from repro.pod.coordinator import PodExecutor, PodStats
 from repro.pod.interconnect import LinkModel
 from repro.pod.partition import CutEdge, Partition, Shard, partition
 from repro.pod.simulator import PodResult, simulate_pod
@@ -41,7 +41,6 @@ __all__ = [
     "PodResult",
     "PodStats",
     "Shard",
-    "Transfer",
     "partition",
     "simulate_pod",
 ]

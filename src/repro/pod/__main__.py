@@ -32,7 +32,6 @@ def main(argv=None) -> int:
     parser.add_argument("--events", type=int, default=520,
                         help="minimum faults to inject (default 520)")
     parser.add_argument("--chips", type=int, default=4)
-    parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--degree", type=int, default=64)
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--check", nargs="?", const=str(DEFAULT_BASELINE),
@@ -74,8 +73,7 @@ def main(argv=None) -> int:
         return 2
 
     result = run_pod_campaign(seed=args.seed, events=args.events,
-                              chips=args.chips, rounds=args.rounds,
-                              degree=args.degree)
+                              chips=args.chips, degree=args.degree)
 
     if args.json:
         print(json.dumps(result.to_json(), indent=2))

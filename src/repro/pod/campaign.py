@@ -4,12 +4,12 @@ Mirrors the reliability and serving campaigns: one seed drives
 everything, each trial arms exactly one fault (alternating the two pod
 failure domains), and the gates are absolute -
 
-* **100% detection**: every injected chip loss is observed at the
-  lock-step barrier and every injected link corruption is caught by the
-  receiver's seal check;
-* **0 wrong answers**: every trial's final ciphertexts are bit-identical
-  to a fault-free reference execution (recovery is replay, replay is
-  deterministic);
+* **100% detection**: every injected chip loss is observed (the
+  dispatched step never reports back) and every injected link
+  corruption is caught by the receiver's seal check;
+* **0 wrong answers**: every trial's program outputs are bit-identical
+  to the unpartitioned execution of the same program (recovery is
+  replay, replay is deterministic);
 * **0 unrecovered**: no survivable fault escalates out of the executor.
 
 Stubborn link faults (every fourth link trial) corrupt consecutive
@@ -35,10 +35,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.pod.config import PodConfig
-from repro.pod.coordinator import PodExecutor, Transfer
+from repro.core.config import ChipConfig
+from repro.fhe.execute import execute
+from repro.ir import INPUT
+from repro.pod.config import MODEL_PARALLEL, PodConfig
+from repro.pod.coordinator import PodExecutor
+from repro.pod.partition import partition
 from repro.reliability.errors import ChipFailure, InterconnectError
 from repro.reliability.faults import CHIP, LINK, FaultInjector
+from repro.workloads.serving import (
+    rotation_strides,
+    serving_plaintexts,
+    serving_program,
+    serving_weights,
+)
 
 
 @dataclass
@@ -58,7 +68,6 @@ class PodCampaignResult:
     seed: int
     events: int                  # faults actually injected
     chips: int
-    rounds: int
     trials: int
     clean_trials: int
     sites: dict[str, PodSiteStats]
@@ -81,7 +90,7 @@ class PodCampaignResult:
     def to_json(self) -> dict:
         return {
             "seed": self.seed, "events": self.events, "chips": self.chips,
-            "rounds": self.rounds, "trials": self.trials,
+            "trials": self.trials,
             "clean_trials": self.clean_trials,
             "sites": {
                 site: {"injected": s.injected, "detected": s.detected}
@@ -132,67 +141,31 @@ class PodCampaignResult:
         return "\n".join(lines)
 
 
-def _make_step(c: int, r: int, rot):
-    """Round ``r`` for chip ``c``: rotate on even rounds, double on odd,
-    then fold in the previous boundary's received value if one landed."""
-
-    def step(ctx, st):
-        v = st[f"v{c}"]
-        v = ctx.rotate(v, 1, rot) if r % 2 == 0 else ctx.add(v, v)
-        rx = st.get(f"rx_r{r - 1}")
-        if rx is not None:
-            v = ctx.add(v, rx)
-        st[f"v{c}"] = v
-
-    return step
+BLOCK = 16  # the served query block: four reduction strides
 
 
-def _build_plan(chips: int, rounds: int, rot):
-    plans = {
-        c: [(f"chip{c}.r{r}", _make_step(c, r, rot)) for r in range(rounds)]
-        for c in range(chips)
-    }
-    # Two transfers per round boundary on rotating links, so every ring
-    # link carries (and can corrupt) traffic over a campaign.
-    transfers = {}
-    for r in range(rounds - 1):
-        a = r % chips
-        b = (r + 2) % chips
-        transfers[r] = [
-            Transfer(src=a, dst=(a + 1) % chips, name=f"v{a}",
-                     rename=f"rx_r{r}"),
-            Transfer(src=b, dst=(b + 1) % chips, name=f"v{b}",
-                     rename=f"rx_r{r}"),
-        ]
-    return plans, transfers
-
-
-def _states_equal(got: dict[int, dict], want: dict[int, dict],
-                  chips: int) -> bool:
-    """Bit-exact comparison of every chip's headline value."""
-    for c in range(chips):
-        a = got[c][f"v{c}"]
-        b = want[c][f"v{c}"]
-        if not (np.array_equal(a.c0.data, b.c0.data)
-                and np.array_equal(a.c1.data, b.c1.data)
-                and a.scale == b.scale):
-            return False
-    return True
+def _outputs_equal(got: dict, want: dict) -> bool:
+    """Bit-exact comparison of every program output."""
+    return got.keys() == want.keys() and all(
+        np.array_equal(got[k].c0.data, w.c0.data)
+        and np.array_equal(got[k].c1.data, w.c1.data)
+        and got[k].scale == w.scale
+        for k, w in want.items())
 
 
 def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
-                     rounds: int = 4, degree: int = 64,
-                     max_level: int = 4,
+                     degree: int = 64, max_level: int = 4,
                      clean_trials: int = 5) -> PodCampaignResult:
     """Inject >= ``events`` seeded pod faults and measure the outcome.
 
-    Every trial executes the same K-chip plan (rotate/double rounds with
-    ring transfers at each boundary) from the same encrypted inputs,
-    arms exactly one fault - chip fail-stop on even trials, link
-    corruption on odd (every fourth link trial stubborn: the corruption
-    persists across retransmits) - and compares the final ciphertexts
-    bit-for-bit against a fault-free reference.  Driven entirely by
-    ``seed``: reruns are identical.
+    Every trial executes the program a model-parallel ``Server`` prices
+    - the lstm serving program, cut by :func:`partition` over ``chips``
+    chips - from the same encrypted input, arms exactly one fault (chip
+    fail-stop on even trials, link corruption on odd, every fourth link
+    trial stubborn: the corruption persists across retransmits), and
+    compares the program outputs bit-for-bit against the unpartitioned
+    :func:`~repro.fhe.execute.execute`.  Driven entirely by ``seed``:
+    reruns are identical.
     """
     from repro.fhe.ckks import CkksContext, CkksParams
     from repro.reliability import guards
@@ -204,32 +177,34 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
     ctx = CkksContext(params,
                       policy=guards.ReliabilityPolicy(checksums=True))
     sk = ctx.keygen()
-    rot = ctx.rotation_hint(sk, 1)
-    pod = PodConfig(chips=chips, seed=seed)
-
-    initial = {}
-    for c in range(chips):
-        vals = 0.5 * rng.standard_normal(params.slots)
-        initial[c] = {f"v{c}": ctx.seal(ctx.encrypt_values(sk, vals))}
-    plans, transfers = _build_plan(chips, rounds, rot)
+    keys = {s: ctx.rotation_hint(sk, s) for s in rotation_strides(BLOCK)}
+    plaintexts = serving_plaintexts(
+        serving_weights(seed, params.slots, BLOCK))
+    program = serving_program("lstm", degree, max_level, BLOCK, 1)
+    pod = PodConfig(chips=chips, strategy=MODEL_PARALLEL, seed=seed)
+    part = partition(program, ChipConfig(), pod)
+    vals = 0.5 * rng.standard_normal(params.slots)
+    inputs = {op.result: ctx.seal(ctx.encrypt_values(sk, vals))
+              for op in program.ops if op.kind == INPUT}
 
     def fresh_executor(injector=None) -> PodExecutor:
-        return PodExecutor(ctx, pod, plans, initial, transfers=transfers,
+        return PodExecutor(ctx, pod, part, inputs, keys, plaintexts,
                            injector=injector)
 
     # -- reference + clean phase: no injector, outputs must agree -----------
-    reference = fresh_executor().run()
+    reference = execute(program, ctx, inputs, keys, plaintexts)
     false_positives = 0
     for _ in range(clean_trials):
         ex = fresh_executor()
         final = ex.run()
         if ex.stats.chip_failures or ex.stats.link_faults_detected \
-                or not _states_equal(final, reference, chips):
+                or not _outputs_equal(final, reference):
             false_positives += 1
 
-    # Opportunity counts in a clean run, for arming skips.
-    chip_opps = chips * rounds                   # one fires() per step
-    link_opps = sum(len(ts) for ts in transfers.values())
+    # Opportunity counts in a clean run, for arming skips: one fires()
+    # per step, one corruption chance per transfer.
+    chip_opps = sum(len(steps) for steps in fresh_executor().plans)
+    link_opps = len(part.edges)
 
     sites = {CHIP: PodSiteStats(), LINK: PodSiteStats()}
     faulted_links: set[tuple[int, int]] = set()
@@ -282,12 +257,12 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
         backoff_s += ex.stats.backoff_s
         checkpoints += ex.stats.checkpoints
         if final is not None and injected \
-                and not _states_equal(final, reference, chips):
+                and not _outputs_equal(final, reference):
             wrong += 1
 
     return PodCampaignResult(
         seed=seed, events=sites[CHIP].injected + sites[LINK].injected,
-        chips=chips, rounds=rounds, trials=trials,
+        chips=chips, trials=trials,
         clean_trials=clean_trials, sites=sites,
         distinct_links=len(faulted_links),
         distinct_chips_failed=len(failed_chips),
@@ -302,7 +277,7 @@ def run_pod_campaign(seed: int = 2022, events: int = 520, chips: int = 4,
 
 # -- regression gate ---------------------------------------------------------
 
-_EXACT_FIELDS = ("events", "chips", "rounds", "trials", "clean_trials",
+_EXACT_FIELDS = ("events", "chips", "trials", "clean_trials",
                  "distinct_links", "distinct_chips_failed",
                  "false_positives", "wrong_answers", "unrecovered",
                  "stubborn_faults", "migrations", "replayed_steps",

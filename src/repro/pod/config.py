@@ -30,7 +30,7 @@ STRATEGIES = (DATA_PARALLEL, MODEL_PARALLEL)
 # Fault recovery for the pod failure domains.
 LINK_RETRIES = 3             # retransmits before InterconnectError
 LINK_BACKOFF_BASE_S = 1e-4   # base of the retransmit backoff_s schedule
-CHECKPOINT_ROUNDS = 2        # pod checkpoint every k lock-step rounds
+CHECKPOINT_STEPS = 2         # shard checkpoint every k of its steps
 
 
 @dataclass(frozen=True)

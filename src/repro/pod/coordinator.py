@@ -1,20 +1,24 @@
 """Pod-coordinated functional execution with chip/link fault recovery.
 
-The :class:`PodExecutor` runs real CKKS work (the `repro.fhe` layer)
-across K logical chips in lock-step rounds, surviving the pod's two new
-failure domains:
+The :class:`PodExecutor` runs a :class:`~repro.pod.partition.Partition`
+on real CKKS work (the `repro.fhe` layer): each shard is one logical
+chip whose program runs as :func:`~repro.fhe.execute.program_steps`
+steps, and each :class:`~repro.pod.partition.CutEdge` is a link
+transfer from the producer shard's stitched ``pod-cut`` OUTPUT into the
+consumer's stitched INPUT.  Shards run in pipeline order and every edge
+goes forward, so a shard's receipts all arrive before its first step.
+The executor survives the pod's two failure domains:
 
 * **chip fail-stop** (``reliability.faults.CHIP`` site) - a chip stops
-  mid-round.  The coordinator observes the loss (fail-stop is detected
-  by construction: the lock-step barrier never hears back), migrates
-  every logical chip hosted there onto the least-loaded survivor,
-  restores the lost state from the last *pod-coordinated checkpoint*
-  (all chips snapshot at the same round barrier, reusing
-  `repro.reliability.recovery`'s sealed snapshots), replays the missing
-  steps, and re-applies the coordinator's receive log (sealed copies of
-  every cross-chip payload delivered since that checkpoint - classic
-  message-logging recovery, so replay never needs a sender to rewind).
-  Replay is deterministic, so recovery is bit-exact.
+  before one of its steps.  The coordinator observes the loss (fail-stop
+  is detected by construction: the dispatched step never reports back),
+  migrates every logical chip hosted there onto the least-loaded
+  survivor, restores each from its last sealed checkpoint (reusing
+  `repro.reliability.recovery`'s snapshots), re-applies the receipts
+  logged since that checkpoint (sealed copies of every cross-chip
+  payload delivered - classic message-logging recovery, so replay never
+  needs a sender to rewind), and replays the missing steps.  Replay is
+  deterministic, so recovery is bit-exact.
 * **link corruption** (``reliability.faults.LINK`` site) - a cross-chip
   transfer is damaged in flight.  Transfers travel as sealed snapshots
   (:func:`~repro.reliability.recovery.snapshot_ciphertext`); the
@@ -24,27 +28,27 @@ failure domains:
   ``LINK_RETRIES`` budget, then escalates with
   :class:`~repro.reliability.errors.InterconnectError`.
 
-Execution state is a per-logical-chip dict of named ciphertexts; a step
-is ``(name, fn)`` with ``fn(ctx, state)`` mutating its chip's dict, and
-cross-chip dataflow is declared as :class:`Transfer` records bound to
-round boundaries.  Everything is seeded; two runs with the same inputs
-and injector state produce bit-identical final ciphertexts.
+Everything is seeded; two runs with the same inputs and injector state
+produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.config import ChipConfig
+from repro.fhe.execute import output_keys, program_steps
+from repro.ir import INPUT, OUTPUT
 from repro.obs import collector as obs
 from repro.pod.config import (
-    CHECKPOINT_ROUNDS,
+    CHECKPOINT_STEPS,
     LINK_BACKOFF_BASE_S,
     LINK_RETRIES,
     PodConfig,
 )
+from repro.pod.partition import CUT_TAG, CutEdge, Partition
 from repro.reliability.errors import (
     ChipFailure,
     FaultDetectedError,
@@ -61,24 +65,11 @@ from repro.reliability.recovery import (
     take_checkpoint,
 )
 
-Step = tuple[str, Callable]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One cross-chip ciphertext movement at a round boundary."""
-
-    src: int                 # logical sending chip
-    dst: int                 # logical receiving chip
-    name: str                # key in the sender's state dict
-    rename: str | None = None  # key in the receiver's (default: name)
-
 
 @dataclass
 class PodStats:
     """What one pod execution did and survived."""
 
-    rounds: int = 0
     steps: int = 0
     transfers: int = 0
     chip_failures: int = 0
@@ -95,113 +86,98 @@ class PodStats:
 
 
 class PodExecutor:
-    """Lock-step fault-tolerant execution over K logical chips."""
+    """Fault-tolerant execution of a partition, one shard per chip.
 
-    def __init__(self, ctx, pod: PodConfig,
-                 plans: dict[int, list[Step]],
-                 initial_state: dict[int, dict],
-                 transfers: dict[int, list[Transfer]] | None = None,
+    ``inputs`` maps the program's INPUT names to ciphertexts; ``keys``
+    and ``plaintexts`` are as for :func:`~repro.fhe.execute.execute`.
+    """
+
+    def __init__(self, ctx, pod: PodConfig, part: Partition, inputs: dict,
+                 keys=None, plaintexts=None,
                  injector: FaultInjector | None = None):
-        for c in plans:
-            if not 0 <= c < pod.chips:
-                raise ParameterError("plan for a chip outside the pod",
-                                     chip=c, chips=pod.chips)
+        if part.chips > pod.chips:
+            raise ParameterError("more shards than chips in the pod",
+                                 shards=part.chips, chips=pod.chips)
         self.ctx = ctx
         self.pod = pod
-        self.plans = {c: list(steps) for c, steps in plans.items()}
-        self.transfers = {r: list(ts) for r, ts in (transfers or {}).items()}
         self.injector = injector
         self.rng = np.random.default_rng(pod.seed)
-        # Executor owns its state: callers can reuse initial ciphertexts
+        # Step prices are the simulator's business; only the steps run.
+        self.plans = [program_steps(s.program, ChipConfig(), keys,
+                                    plaintexts)[0] for s in part.shards]
+        self._out_keys = [output_keys(s.program) for s in part.shards]
+        # The program's own outputs, per shard (stitched legs excluded).
+        self._results = [
+            [op.operands[0] for op in s.program.ops
+             if op.kind == OUTPUT and op.tag != CUT_TAG]
+            for s in part.shards]
+        self._edges_in = [[e for e in part.edges if e.dst == c]
+                          for c in range(part.chips)]
+        # Executor owns its state: callers can reuse input ciphertexts
         # across runs (the campaign does, per trial).
-        self.states = {
-            c: {name: ct.copy() for name, ct in entries.items()}
-            for c, entries in initial_state.items()
-        }
-        self.hosted_on = {c: c for c in range(pod.chips)}  # logical -> phys
+        self.states = [
+            {op.result: inputs[op.result].copy() for op in s.program.ops
+             if op.kind == INPUT and op.result in inputs}
+            for s in part.shards]
+        self.hosted_on = list(range(part.chips))  # logical -> physical
         self.dead: set[int] = set()
-        self.done = {c: 0 for c in range(pod.chips)}  # steps completed
+        self.done = [0] * part.chips  # steps completed per shard
         self.stats = PodStats()
-        self._ckpts: dict[int, Checkpoint] = {}
-        # Receive log: sealed copies of payloads delivered since the last
-        # pod checkpoint, keyed by receiving chip - replayed after a
-        # restore so recovery never needs a sender to rewind.
-        self._rx_log: dict[int, list[tuple[int, str, CiphertextSnapshot]]] \
-            = {c: [] for c in range(pod.chips)}
-        self._logical = sorted(self.plans)
-        self._round = 0
+        self._ckpts: list[Checkpoint | None] = [None] * part.chips
+        # Receive log: sealed copies of payloads delivered since each
+        # shard's last checkpoint - re-applied after a restore so
+        # recovery never needs a sender to rewind.
+        self._rx_log: list[list[tuple[str, CiphertextSnapshot]]] = \
+            [[] for _ in range(part.chips)]
 
     # -- failure handling ---------------------------------------------------
 
-    def _survivors(self) -> list[int]:
-        return [p for p in range(self.pod.chips) if p not in self.dead]
-
     def _hosted(self, phys: int) -> list[int]:
-        return [c for c in self._logical if self.hosted_on[c] == phys]
+        return [c for c, p in enumerate(self.hosted_on) if p == phys]
 
-    def _fail_chip(self, phys: int, round_no: int) -> None:
+    def _fail_chip(self, phys: int) -> None:
         """Fail-stop ``phys``: migrate its logical chips to the
-        least-loaded survivor and replay them from the pod checkpoint."""
+        least-loaded survivor and rebuild them from their checkpoints."""
         self.dead.add(phys)
         self.stats.chip_failures += 1
         obs.count("pod.chip_failures")
-        survivors = self._survivors()
+        survivors = [p for p in range(self.pod.chips) if p not in self.dead]
         if not survivors:
             raise ChipFailure(
                 "pod lost its last chip; no survivor to migrate onto",
-                chip=phys, round=round_no)
+                chip=phys)
         for c in self._hosted(phys):
-            host = min(survivors, key=lambda p: (len(self._hosted(p)), p))
-            self.hosted_on[c] = host
+            self.hosted_on[c] = min(
+                survivors, key=lambda p: (len(self._hosted(p)), p))
             self.stats.migrations += 1
             obs.count("pod.migrations")
-            # The dead chip's live state went with it: rebuild from the
-            # last coordinated checkpoint, replay the missing steps, and
-            # re-apply logged receipts at their original boundaries.
+            # The dead chip's live state went with it: restore, re-apply
+            # the receipts logged since the checkpoint, replay the rest.
             ckpt = self._ckpts[c]
             with obs.span("pod.restore", "pod"):
                 self.states[c] = restore_checkpoint(ckpt)
             self.stats.restores += 1
-            self._replay(c, ckpt.step, self.done[c])
-
-    def _replay(self, c: int, start: int, end: int) -> None:
-        receipts = self._rx_log[c]
-        for i in range(start, end):
-            name, fn = self.plans[c][i]
-            with obs.span("pod.replay_step", "pod"):
-                fn(self.ctx, self.states[c])
-            self.stats.replayed_steps += 1
-            obs.count("pod.replayed_steps")
-            for round_no, key, snap in receipts:
-                if round_no == i:
-                    self.states[c][key] = snap.restore()
-        # Receipts delivered after the chip's last step (its plan ended
-        # but the pod kept routing to it) have no step to anchor to;
-        # re-apply them in arrival order.
-        for round_no, key, snap in receipts:
-            if round_no >= end:
+            for key, snap in self._rx_log[c]:
                 self.states[c][key] = snap.restore()
+            for _, fn in self.plans[c][ckpt.step:self.done[c]]:
+                with obs.span("pod.replay_step", "pod"):
+                    fn(self.ctx, self.states[c])
+                self.stats.replayed_steps += 1
+                obs.count("pod.replayed_steps")
 
     # -- transfers ----------------------------------------------------------
 
-    def _transfer(self, t: Transfer) -> None:
-        sender = self.states[t.src]
-        if t.name not in sender:
+    def _transfer(self, e: CutEdge) -> None:
+        sender = self.states[e.src]
+        key = self._out_keys[e.src].get(e.value)
+        if key not in sender:
             raise ParameterError("transfer of a value the sender lacks",
-                                 src=t.src, name=t.name)
-        snap = snapshot_ciphertext(sender[t.name])  # sealed, sender-side
+                                 src=e.src, value=e.value)
+        snap = snapshot_ciphertext(sender[key])  # sealed, sender-side
         attempts = LINK_RETRIES + 1
         for attempt in range(attempts):
-            wire = CiphertextSnapshot(
-                moduli=snap.moduli,
-                data0=snap.data0.copy(), data1=snap.data1.copy(),
-                domain0=snap.domain0, domain1=snap.domain1,
-                scale=snap.scale,
-                budget_noise_bits=snap.budget_noise_bits,
-                budget_sigma=snap.budget_sigma,
-                budget_mod_bits=snap.budget_mod_bits,
-                checksums0=snap.checksums0, checksums1=snap.checksums1,
-            )
+            wire = replace(snap, data0=snap.data0.copy(),
+                           data1=snap.data1.copy())
             if self.injector is not None:
                 half = wire.data0 if self.rng.random() < 0.5 else wire.data1
                 self.injector.maybe_corrupt(LINK, half)
@@ -209,7 +185,7 @@ class PodExecutor:
                 received = wire.restore()  # re-verifies the seals
             except FaultDetectedError:
                 self.stats.link_faults_detected += 1
-                self.stats.faulted_links.add((t.src, t.dst))
+                self.stats.faulted_links.add((e.src, e.dst))
                 obs.count("pod.link_faults_detected")
                 if attempt + 1 < attempts:
                     self.stats.retransmits += 1
@@ -217,56 +193,52 @@ class PodExecutor:
                         LINK_BACKOFF_BASE_S, attempt, self.rng)
                     obs.count("pod.retransmits")
                 continue
-            key = t.rename or t.name
-            self.states[t.dst][key] = received
-            self._rx_log[t.dst].append((self._round, key, wire))
+            # The consumer's stitched INPUT is bound under its own name.
+            self.states[e.dst][e.value] = received
+            self._rx_log[e.dst].append((e.value, wire))
             self.stats.transfers += 1
             obs.count("pod.transfers")
             return
         raise InterconnectError(
             "link retransmit budget exhausted; transfer never arrived "
-            "intact", src=t.src, dst=t.dst, name=t.name,
+            "intact", src=e.src, dst=e.dst, value=e.value,
             retries=LINK_RETRIES)
 
     # -- main loop ----------------------------------------------------------
 
-    def _checkpoint_all(self) -> None:
+    def _checkpoint(self, c: int) -> None:
         with obs.span("pod.checkpoint", "pod"):
-            for c in self._logical:
-                self._ckpts[c] = take_checkpoint(
-                    self.ctx, self.states[c], step=self.done[c],
-                    label=f"pod-chip{c}")
-                self._rx_log[c] = []  # receipts now inside the checkpoint
-                self.stats.checkpoints += 1
-                obs.count("pod.checkpoints")
+            self._ckpts[c] = take_checkpoint(
+                self.ctx, self.states[c], step=self.done[c],
+                label=f"pod-chip{c}")
+        self._rx_log[c] = []  # receipts now inside the checkpoint
+        self.stats.checkpoints += 1
+        obs.count("pod.checkpoints")
 
-    def run(self) -> dict[int, dict]:
-        """Execute every plan to completion; returns the final states.
+    def run(self) -> dict:
+        """Run every shard in pipeline order; returns the program's
+        outputs (value name -> ciphertext), as
+        :func:`~repro.fhe.execute.execute` does.
 
         Raises :class:`ChipFailure` only when the last chip dies, and
         :class:`InterconnectError` only when a transfer exhausts its
         retransmit budget - everything survivable is survived.
         """
-        rounds = max((len(s) for s in self.plans.values()), default=0)
-        self._checkpoint_all()  # round-0 baseline: any death can restore
-        for r in range(rounds):
-            self._round = r
-            self.stats.rounds += 1
-            for c in self._logical:
-                if self.done[c] > r or r >= len(self.plans[c]):
-                    continue
-                phys = self.hosted_on[c]
-                if self.injector is not None and phys not in self.dead \
-                        and self.injector.fires(CHIP):
-                    self._fail_chip(phys, r)
-                name, fn = self.plans[c][r]
+        for c in range(len(self.plans)):  # baseline: any death restores
+            self._checkpoint(c)
+        for c, steps in enumerate(self.plans):
+            for e in self._edges_in[c]:
+                self._transfer(e)
+            for i, (_, fn) in enumerate(steps):
+                if self.injector is not None and self.injector.fires(CHIP):
+                    self._fail_chip(self.hosted_on[c])
                 with obs.span("pod.step", "pod"):
                     fn(self.ctx, self.states[c])
-                self.done[c] = r + 1
+                self.done[c] = i + 1
                 self.stats.steps += 1
                 obs.count("pod.steps")
-            for t in self.transfers.get(r, ()):  # round-boundary dataflow
-                self._transfer(t)
-            if (r + 1) % CHECKPOINT_ROUNDS == 0:
-                self._checkpoint_all()
-        return self.states
+                if self.done[c] % CHECKPOINT_STEPS == 0:
+                    self._checkpoint(c)
+        return {value: self.states[c][self._out_keys[c][value]]
+                for c, values in enumerate(self._results)
+                for value in values}

@@ -41,6 +41,9 @@ from repro.ir import HOIST_MODUP, INPUT, OUTPUT, HomOp, Program
 from repro.obs import collector as obs
 from repro.pod.config import DATA_PARALLEL, MODEL_PARALLEL, PodConfig
 from repro.pod.interconnect import LinkModel
+from repro.reliability.errors import ScheduleError
+
+CUT_TAG = "pod-cut"  # tag of the stitched INPUT/OUTPUT legs of a cut edge
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,14 @@ def _op_weight(cfg: ChipConfig, op: HomOp, n: int) -> float:
     return op_cost(cfg, op, n).compute_cycles(cfg)
 
 
+def _leading_io(ops: list[HomOp]) -> int:
+    """Length of the program's leading INPUT/OUTPUT run.  No boundary
+    lands inside it or right after it: a stage holding only that run
+    computes nothing and just forwards its inputs over a link."""
+    return next((i for i, op in enumerate(ops)
+                 if op.kind not in (INPUT, OUTPUT)), len(ops))
+
+
 def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
     """Boundaries of ``chips`` contiguous chunks, balanced by cycle
     weight.  A boundary never lands between a ``hoist_modup`` and its
@@ -111,6 +122,7 @@ def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
     n = program.degree
     weights = [_op_weight(cfg, op, n) for op in ops]
     total = sum(weights)
+    lead = _leading_io(ops)
     bounds: list[int] = []
     acc = 0.0
     for i, w in enumerate(weights):
@@ -119,7 +131,7 @@ def _cut_points(program: Program, cfg: ChipConfig, chips: int) -> list[int]:
         if k >= chips or i + 1 >= len(ops):
             continue
         if acc >= total * k / chips:
-            b = i + 1
+            b = max(i + 1, lead + 1)
             while b < len(ops) and ops[b - 1].kind == HOIST_MODUP:
                 b += 1
             if b < len(ops) and (not bounds or b > bounds[-1]):
@@ -177,7 +189,7 @@ def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
     cross = live / cfg.hbm_words_per_cycle  # memory-system crossing
     value = prefix + cross                  # stage-cost numerator at e
     safe = np.ones(n_ops + 1, dtype=bool)
-    safe[0] = False
+    safe[:_leading_io(ops) + 1] = False
     for b in range(1, n_ops):
         if ops[b - 1].kind == HOIST_MODUP:
             safe[b] = False
@@ -222,7 +234,11 @@ def _mincut_points(program: Program, cfg: ChipConfig, pod: PodConfig,
 def partition(program: Program, cfg: ChipConfig, pod: PodConfig,
               chips: int | None = None) -> Partition:
     """Shard ``program`` across ``chips`` chips (default: the pod's
-    full complement; pass the survivor count for degraded N-1 plans)."""
+    full complement; pass the survivor count for degraded N-1 plans).
+
+    Model-parallel cuts route values by name, so the program must be in
+    SSA form: a redefined value raises :class:`ScheduleError`.
+    """
     k = pod.chips if chips is None else chips
     if pod.strategy == DATA_PARALLEL:
         return _partition_data(program, k)
@@ -302,8 +318,14 @@ def _partition_model(program: Program, cfg: ChipConfig, pod: PodConfig,
     chunk_of: dict[str, int] = {}  # producing chunk of each value
     for c, idx in enumerate(chunks):
         for i in idx:
-            if ops[i].kind != OUTPUT:
-                chunk_of[ops[i].result] = c
+            if ops[i].kind == OUTPUT:
+                continue
+            if ops[i].result in chunk_of:
+                raise ScheduleError("model-parallel partition needs SSA: a "
+                                    "value is defined more than once",
+                                    program=program.name,
+                                    value=ops[i].result)
+            chunk_of[ops[i].result] = c
 
     producer_op = {op.result: op for op in ops if op.kind != OUTPUT}
     edges: list[CutEdge] = []
@@ -328,7 +350,7 @@ def _partition_model(program: Program, cfg: ChipConfig, pod: PodConfig,
             p = producer_op[value]
             words = _value_words(n, p)
             stitched_in.append(HomOp(
-                kind=INPUT, level=p.level, result=value, tag="pod-cut",
+                kind=INPUT, level=p.level, result=value, tag=CUT_TAG,
             ))
             in_words += words
             src = chunk_of[value]
@@ -359,7 +381,7 @@ def _partition_model(program: Program, cfg: ChipConfig, pod: PodConfig,
             shard.program.append(HomOp(
                 kind=OUTPUT, level=p.level,
                 result=f"podout_{e.value}", operands=(e.value,),
-                tag="pod-cut",
+                tag=CUT_TAG,
             ))
             shard.stitched_outputs += (e.value,)
 

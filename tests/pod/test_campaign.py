@@ -16,7 +16,7 @@ EVENTS = 16  # small but alternates both sites and hits a stubborn trial
 
 @pytest.fixture(scope="module")
 def result():
-    return run_pod_campaign(seed=5, events=EVENTS, chips=3, rounds=4)
+    return run_pod_campaign(seed=5, events=EVENTS, chips=3)
 
 
 def test_campaign_meets_absolute_gates(result):
@@ -33,7 +33,7 @@ def test_campaign_meets_absolute_gates(result):
 
 
 def test_campaign_is_bit_reproducible(result):
-    again = run_pod_campaign(seed=5, events=EVENTS, chips=3, rounds=4)
+    again = run_pod_campaign(seed=5, events=EVENTS, chips=3)
     a, b = result.to_json(), again.to_json()
     assert a == b
 

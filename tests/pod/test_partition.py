@@ -18,8 +18,11 @@ from repro.ir import HOIST_MODUP, INPUT, OUTPUT
 from repro.obs import collector as obs
 from repro.pod import (DATA_PARALLEL, LinkModel, MODEL_PARALLEL, PodConfig,
                        partition)
+from repro.reliability.errors import ScheduleError
+from repro.reliability.recovery import _campaign_program
 from repro.reliability.validate import validate_program
 from repro.workloads import benchmark
+from repro.workloads.serving import serving_program
 
 CFG = ChipConfig()
 
@@ -112,6 +115,35 @@ def test_boundary_never_splits_hoist_group():
             if shard.op_indices:
                 last = program.ops[shard.op_indices[-1]]
                 assert last.kind != HOIST_MODUP
+
+
+@pytest.mark.parametrize("kind, chips", [
+    ("lstm", 4), ("lstm", 5), ("lstm", 8),
+    ("logreg", 3), ("logreg", 4), ("logreg", 5), ("logreg", 8),
+])
+def test_every_stage_computes(kind, chips):
+    """No boundary lands in or right after the leading INPUT run: a
+    stage holding only the program input would compute nothing and
+    just forward it over a link."""
+    program = serving_program(kind, 512, 6, 16, 1)
+    part = partition(program, CFG,
+                     PodConfig(chips=chips, strategy=MODEL_PARALLEL))
+    for shard in part.shards:
+        if shard.op_indices:
+            assert any(program.ops[i].kind not in (INPUT, OUTPUT)
+                       for i in shard.op_indices), shard.op_indices
+
+
+def test_non_ssa_program_is_rejected_up_front():
+    """Cuts route values by name, so a redefined value is a typed
+    ScheduleError naming it - not a failure deep in a shard's gate
+    simulation."""
+    program = _campaign_program(64, 4, 8)
+    with pytest.raises(ScheduleError, match="more than once") as err:
+        partition(program, CFG, PodConfig(chips=2, strategy=MODEL_PARALLEL))
+    assert err.value.context["value"] == "acc"
+    # Mirrored replicas run the whole program, names and all.
+    assert partition(program, CFG, PodConfig(chips=2)).chips == 2
 
 
 @settings(max_examples=40, deadline=None)

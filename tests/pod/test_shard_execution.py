@@ -2,11 +2,12 @@
 answer, bit for bit.
 
 The partitioner tests check cuts structurally (conservation, stitching,
-``validate_program``).  Here the shards are *executed* on the CKKS layer
-in pipeline order: each stitched ``pod-cut`` INPUT is fed the ciphertext
-its producer shard emitted through the matching stitched OUTPUT, as the
-link would deliver it.  A cut that dropped, duplicated, reordered or
-mis-stitched an op would change the residues.
+``validate_program``).  Here a fault-free :class:`PodExecutor` *executes*
+the shards on the CKKS layer in pipeline order: each stitched
+``pod-cut`` INPUT is fed, over a sealed link transfer, the ciphertext its
+producer shard emitted through the matching stitched OUTPUT.  A cut that
+dropped, duplicated, reordered or mis-stitched an op would change the
+residues.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.compiler import FheBuilder, hoist_rotations
 from repro.core.config import ChipConfig
 from repro.fhe.execute import execute
 from repro.ir import HOIST_MODUP, INPUT
-from repro.pod import MODEL_PARALLEL, PodConfig, partition
+from repro.pod import MODEL_PARALLEL, PodConfig, PodExecutor, partition
 from repro.workloads.serving import (
     rotation_strides,
     serving_plaintexts,
@@ -55,17 +56,6 @@ def _hoisted(fhe):
     return program, keys, None
 
 
-def _run_shards(part, ctx, values: dict, keys, plaintexts) -> dict:
-    """Execute shards in order; every value a shard emits is available
-    to the later shards' stitched inputs."""
-    values = dict(values)
-    for shard in part.shards:
-        inputs = {op.result: values[op.result] for op in shard.program.ops
-                  if op.kind == INPUT}
-        values.update(execute(shard.program, ctx, inputs, keys, plaintexts))
-    return values
-
-
 @pytest.mark.parametrize("build", [_serving, _hoisted],
                          ids=["serving_lstm", "hoisted_toy"])
 @pytest.mark.parametrize("chips", [2, 3])
@@ -81,9 +71,11 @@ def test_executed_shards_decrypt_to_the_unpartitioned_answer(fhe, build,
     pod = PodConfig(chips=chips, strategy=MODEL_PARALLEL, link_gbps=1000.0)
     part = partition(program, CFG, pod)
     assert all(shard.stitched_inputs for shard in part.shards[1:])
-    got = _run_shards(part, fhe.ctx, inputs, keys, plaintexts)
+    ex = PodExecutor(fhe.ctx, pod, part, inputs, keys, plaintexts)
+    got = ex.run()
+    assert ex.stats.transfers == len(part.edges)
 
-    assert want
+    assert want and got.keys() == want.keys()
     for name, w in want.items():
         g = got[name]
         assert np.array_equal(g.c0.data, w.c0.data)
